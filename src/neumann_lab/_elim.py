@@ -1,24 +1,25 @@
-"""Sparse elimination kernels behind the semigroup engines.
+"""Sparse elimination behind the semigroup engine.
 
-Two solvers share one symbolic structure (minimum-remaining-degree order,
-which is exact leaf-first elimination on trees, hence fill-free for chains
-and comb-shaped models):
+One subtraction-free elimination (Grassmann, Taksar & Heyman 1985) serves
+every heat and resolvent action, in a minimum-remaining-degree order (exact
+leaf-first elimination on trees, hence fill-free for chains and combs).
 
-* :func:`gth_factor` eliminates A + alpha for the M-matrix form of a
-  restricted Laplacian using GTH-style elimination, and the returned
-  :class:`GTHFactors` solves (A + alpha) u = f.  Diagonals are carried
-  implicitly as off-diagonal row sums plus an exact positive "excess"
-  (killing/boundary mass over measure, plus alpha), so every update adds
-  nonnegative quantities.  For f >= 0 the result is componentwise accurate
-  to machine precision regardless of how many orders of magnitude the
-  weights span; signed f is split into positive and negative parts.
-
+* :func:`gth_factor` eliminates A - s for a restricted Laplacian A and a
+  shift s.  Diagonals are never stored: a pivot is the row sum of the live
+  off-diagonal entries plus an "excess" (killing mass over measure, minus
+  s), and eliminating a vertex adds ``l_a * excess_i`` to each neighbour's
+  excess.  For s = -alpha every update adds nonnegative terms, so
+  (A + alpha) u = f is solved componentwise to machine precision for
+  f >= 0 at any dynamic range; signed f is split by sign.
 * :func:`cf_heat` applies exp(-tA) through the rational approximation in
-  :mod:`._expcf`.  The shifted complex systems are solved in mpmath
-  arbitrary-precision arithmetic with working precision scaled to the
-  operator's dynamic range, because float64 elimination loses the O(1)
-  solution components that live on huge-degree vertices.  On trees each
-  solve costs O(n) high-precision operations.
+  :mod:`._expcf` (Trefethen, Weideman & Schmelzer 2006).  A pole p needs
+  (A - p/t)^{-1}: the same recursion with a complex excess.  Pivots keep the
+  row sums they carry, so the O(1) components on huge-degree vertices are
+  not cancelled away and float64 suffices.
+
+:func:`cf_heat_mp` solves the same approximation by Gaussian elimination in
+mpmath, at a precision scaled to the dynamic range.  It is the reference
+that tests compare :func:`cf_heat` against; no engine calls it.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ import numpy as np
 from ._expcf import POLES, RESIDUES
 
 __all__ = ["elimination_order", "GTHFactors", "gth_factor", "cf_heat",
-           "stiff_dps"]
+           "cf_heat_mp", "stiff_dps"]
 
-# mpmath's precision state is process-global, so concurrent heat actions at
-# different working precisions would corrupt each other; the path is
-# GIL-bound anyway, so serializing costs nothing
+# mpmath's precision state is process-global, so concurrent reference solves
+# at different working precisions would corrupt each other
 _MP_LOCK = threading.Lock()
 
 
@@ -75,34 +75,36 @@ class GTHFactors:
 
     ``order`` is the elimination sequence; per eliminated vertex we keep its
     pivot, its upper row (edges to then-live neighbors) and the multipliers
-    of those neighbors' rows.
+    of those neighbors' rows.  ``dtype`` is float for a real shift and
+    complex for a complex one.
     """
 
-    __slots__ = ("n", "order", "pivots", "rows", "mults")
+    __slots__ = ("n", "order", "pivots", "rows", "mults", "dtype")
 
-    def __init__(self, n, order, pivots, rows, mults):
+    def __init__(self, n, order, pivots, rows, mults, dtype):
         self.n = n
         self.order = order
         self.pivots = pivots
         self.rows = rows
         self.mults = mults
+        self.dtype = dtype
 
     def solve_nonneg(self, f: np.ndarray) -> np.ndarray:
-        """Forward/back substitution; all additions for f >= 0."""
-        y = np.array(f, dtype=float)
-        for i, row, mult in zip(self.order, self.rows, self.mults):
+        """Forward/back substitution; all additions for f >= 0 and a real shift."""
+        y = np.asarray(f, dtype=self.dtype).tolist()
+        for i, mult in zip(self.order, self.mults):
             yi = y[i]
-            if yi != 0.0:
+            if yi:
                 for a, la in mult.items():
                     y[a] += la * yi
-        x = np.zeros(self.n)
+        x = [0.0] * self.n
         for pos in range(len(self.order) - 1, -1, -1):
             i = self.order[pos]
             acc = y[i]
             for j, coef in self.rows[pos].items():
                 acc += coef * x[j]
             x[i] = acc / self.pivots[pos]
-        return x
+        return np.array(x, dtype=self.dtype)
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         neg = np.minimum(f, 0.0)
@@ -112,17 +114,24 @@ class GTHFactors:
         return self.solve_nonneg(pos) - self.solve_nonneg(-neg)
 
 
-def gth_factor(offdiag: list[dict[int, float]], excess: np.ndarray) -> GTHFactors:
-    """Eliminate the M-matrix with rows ``diag_i = sum_j offdiag[i][j] + excess_i``,
-    off-diagonal entries ``-offdiag[i][j]``, in minimum-degree order.
+def gth_factor(offdiag: list[dict[int, float]], excess: np.ndarray,
+               order: list[int] | None = None) -> GTHFactors:
+    """Eliminate the matrix with rows ``diag_i = sum_j offdiag[i][j] + excess_i``,
+    off-diagonal entries ``-offdiag[i][j]``, in ``order`` (by default the
+    minimum-degree order of ``offdiag``'s pattern).
 
-    ``offdiag`` values must be nonnegative; ``excess`` strictly positive
-    (e.g. alpha plus killing mass over measure).
+    ``offdiag`` values must be nonnegative.  A real ``excess`` must be
+    strictly positive (e.g. alpha plus killing mass over measure); a
+    complex one is the excess of a complex shift, whose real part may be
+    negative as long as the matrix stays nonsingular.
     """
     n = len(offdiag)
     rows = [dict(r) for r in offdiag]
-    exc = np.array(excess, dtype=float)
-    order = elimination_order([set(r.keys()) for r in offdiag])
+    exc = np.asarray(excess)
+    dtype = np.dtype(complex) if np.iscomplexobj(exc) else np.dtype(float)
+    exc = exc.astype(dtype).tolist()
+    if order is None:
+        order = elimination_order([set(r) for r in offdiag])
     pivots = []
     urows = []
     mults = []
@@ -143,7 +152,29 @@ def gth_factor(offdiag: list[dict[int, float]], excess: np.ndarray) -> GTHFactor
         urows.append(dict(nbrs))
         mults.append(mult)
         rows[i] = None
-    return GTHFactors(n, order, pivots, urows, mults)
+    return GTHFactors(n, order, pivots, urows, mults, dtype)
+
+
+def cf_heat(offdiag: list[dict[int, float]], excess: np.ndarray, t: float,
+            vec: np.ndarray) -> np.ndarray:
+    """u ~= exp(-tA) vec for A = diag(rowsum + excess) - offdiag, in float64.
+
+    With x_k = (A - POLES[2k]/t)^{-1} vec, the sum over the conjugate pair
+    (POLES[2k], POLES[2k+1]) is Re((RESIDUES[2k] + conj(RESIDUES[2k+1])) x_k)/t,
+    so one elimination order and one shifted factorization per pair cover
+    the whole table.
+    """
+    vec = np.asarray(vec, dtype=float)
+    if t == 0.0:
+        return vec.copy()
+    order = elimination_order([set(r) for r in offdiag])
+    excess = np.asarray(excess, dtype=float)
+    out = np.zeros(len(offdiag))
+    for k in range(0, len(POLES), 2):
+        x = gth_factor(offdiag, excess - POLES[k] / t, order).solve_nonneg(vec)
+        weight = (RESIDUES[k] + RESIDUES[k + 1].conjugate()) / t
+        out += (weight * x).real
+    return out
 
 
 def stiff_dps(scale: float, t: float = 1.0) -> int:
@@ -161,8 +192,8 @@ def _to_mpf(value):
     return mp.mpf(value)
 
 
-def cf_heat(offdiag_exact: list[dict[int, object]], excess_exact: list[object],
-            t: float, vec: np.ndarray, scale: float) -> np.ndarray:
+def cf_heat_mp(offdiag_exact: list[dict[int, object]], excess_exact: list[object],
+               t: float, vec: np.ndarray, scale: float) -> np.ndarray:
     """u ~= exp(-tA) vec for A = diag(rowsum + excess) - offdiag.
 
     Entries of ``offdiag_exact``/``excess_exact`` may be int, Fraction or

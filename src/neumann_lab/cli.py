@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 input or invariant error, 2 truncation
 insufficient, 3 undetermined classification.  Reports carry a schema
 version and a machine-readable error reason; re-running a config
 reproduces the report byte for byte apart from the timestamp.
-``NEUMANN_LAB_THREADS`` caps worker threads for per-truncation loops.
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ below tolerance).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -46,24 +44,13 @@ GAP_FLOOR_ABSOLUTE = 1e-6
 
 
 def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("NEUMANN_LAB_THREADS")
-    if cap is not None:
-        try:
-            cap = max(1, int(cap))
-        except ValueError:
-            raise InputError(f"NEUMANN_LAB_THREADS={cap!r} is not an integer") from None
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
+    """Truncations run one at a time (``bench/run.py`` records this width)."""
+    return 1
 
 
-def _ordered_map(fn: Callable, items: Sequence):
-    """Map preserving order; parallel when allowed, identical results either way."""
-    workers = _worker_count(len(items))
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _ordered_map(fn: Callable, items: Sequence) -> list:
+    """The per-truncation loop, as one function so it can be wrapped and traced."""
+    return [fn(x) for x in items]
 
 
 def _norms(diff: dict[int, float], graph: WeightedGraph, probe: int):

@@ -7,7 +7,7 @@ Two restrictions of the Laplacian to a finite connected subset are supported:
 * Neumann: the Laplacian of the induced subgraph; outgoing edges are ignored.
 
 Operators keep their defining data exact (weights as int/Fraction/float) so
-downstream engines can lift entries into arbitrary precision without rounding.
+residual certificates and the mpmath reference see entries without rounding.
 The dense float matrix is materialized lazily behind an overflow guard.
 """
 
@@ -62,6 +62,14 @@ def _float_guard(value, what: str):
     return v
 
 
+def _exact_ratio(num, den):
+    """num / den, exact unless an operand is a float, so that ``_float_guard``
+    sees the true size: int / int raises a bare OverflowError beyond 2^1024."""
+    if isinstance(num, float) or isinstance(den, float):
+        return num / den
+    return Fraction(num, den)
+
+
 @dataclass(frozen=True)
 class RestrictedOperator:
     """Matrix realization of a Dirichlet or Neumann restriction.
@@ -91,7 +99,8 @@ class RestrictedOperator:
         """Largest diagonal entry of the matrix (weighted degree scale)."""
         best = 0.0
         for i in range(len(self.vertices)):
-            d = (sum(self.weights[i].values()) + self.killing_mass[i]) / self.measures[i]
+            d = _exact_ratio(sum(self.weights[i].values()) + self.killing_mass[i],
+                             self.measures[i])
             best = max(best, _float_guard(d, f"degree at vertex {self.vertices[i]}"))
         return best
 
@@ -104,10 +113,10 @@ class RestrictedOperator:
         A = np.zeros((n, n))
         for i in range(n):
             mi = self.measures[i]
-            diag = (sum(self.weights[i].values()) + self.killing_mass[i]) / mi
+            diag = _exact_ratio(sum(self.weights[i].values()) + self.killing_mass[i], mi)
             A[i, i] = _float_guard(diag, f"diagonal at {self.vertices[i]}")
             for j, b in self.weights[i].items():
-                A[i, j] = -_float_guard(b / mi, f"entry ({i},{j})")
+                A[i, j] = -_float_guard(_exact_ratio(b, mi), f"entry ({i},{j})")
         return A
 
     @cached_property
@@ -166,9 +175,12 @@ def _assemble(kind: OperatorKind, g: WeightedGraph, subset: Sequence[int]) -> Re
                     raise InputError(f"inconsistent row sum at vertex {x}")
                 outside = 0
             kill = kill + outside
+        mx = g.measure(x)
+        if not mx > 0:
+            raise InputError(f"nonpositive measure m({x}) = {mx}")
         weights.append(row)
         killing_mass.append(kill)
-        measures.append(g.measure(x))
+        measures.append(mx)
     return RestrictedOperator(kind, g, vertices, tuple(weights),
                               tuple(killing_mass), tuple(measures))
 

@@ -1,26 +1,22 @@
 """Heat semigroups e^{-tL} and resolvents (L+alpha)^{-1} of restricted operators.
 
-Two engines sit behind one interface:
+One engine serves every operator, from unit weights to weighted degrees
+near the float cap.  Both actions run through the subtraction-free sparse
+elimination in :mod:`._elim`, in float64:
 
-* moderate dynamic range (weighted degrees up to ``spectral_limit``): full
-  symmetric eigendecomposition of S = M^{1/2} A M^{-1/2}; one factorization
-  serves every t and keeps the spectrum available for diagnostics.
-* extreme dynamic range (degrees up to ~1e300 for the fast-growth models):
-  the eigendecomposition of S in float64 destroys the small eigenvalues
-  (absolute error scales with the matrix norm), so the heat operator is
-  evaluated through a uniform rational approximation of exp on [0, inf)
-  whose shifted linear systems are solved sparsely in scaled-precision
-  arithmetic.  No spectral data is exposed in this mode.
+* the heat action sums a uniform rational approximation of exp on
+  [0, inf) whose shifted systems (tL - p) are complex-shift eliminations;
+* the resolvent is the same elimination with the real shift -alpha, which
+  is componentwise accurate for nonnegative data at any dynamic range;
+  signed right-hand sides are split by sign.
 
-Resolvents always go through subtraction-free M-matrix elimination, which is
-componentwise accurate for nonnegative data at any dynamic range; signed
-right-hand sides are split by sign.  Residuals are verified in exact rational
-arithmetic, so the check itself cannot drown in rounding.
+Residuals are verified in exact rational arithmetic, so the check itself
+cannot drown in rounding.  A dense eigendecomposition is available on
+demand for diagnostics at moderate scale, and no action depends on it.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +26,7 @@ import numpy as np
 from . import _elim
 from .errors import InputError, NeumannLabError
 from .graphs import VertexFunction
-from .operators import DENSE_SIZE_CAP, RestrictedOperator, evaluate_form
+from .operators import DENSE_SIZE_CAP, RestrictedOperator, _exact_ratio, evaluate_form
 
 __all__ = [
     "SemigroupEngine",
@@ -51,17 +47,11 @@ CLAMP_RELATIVE = 1e-12
 PSD_TOLERANCE = 1e-10
 
 
+@dataclass
 class _Telemetry:
-    """Thread-safe counter for positivity clamps."""
+    """Counter for positivity clamps."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.clamped_entries = 0
-
-    def add(self, k: int):
-        if k:
-            with self._lock:
-                self.clamped_entries += k
+    clamped_entries: int = 0
 
 
 @dataclass(frozen=True)
@@ -74,70 +64,62 @@ class ResolventResult:
 
 
 class SemigroupEngine:
-    """Shared factorization for heat and resolvent actions of one operator."""
+    """Shared elimination data for heat and resolvent actions of one operator.
 
-    def __init__(self, op: RestrictedOperator, spectral_limit: float = SPECTRAL_SCALE_LIMIT):
+    Construction evaluates ``op.scale``, so an operator whose entries are
+    beyond the float cap fails here with ``OverflowCapError``.
+    """
+
+    def __init__(self, op: RestrictedOperator):
+        op.scale  # evaluated for its overflow check
         self.operator = op
-        n = len(op)
-        self.mode = "spectral" if (op.scale <= spectral_limit and n <= DENSE_SIZE_CAP) else "stiff"
         self.telemetry = _Telemetry()
         self._gth_cache: dict[float, _elim.GTHFactors] = {}
-        self._lock = threading.Lock()
-        if self.mode == "spectral":
-            S = op.symmetrized
-            lam, U = np.linalg.eigh(S)
-            radius = max(abs(lam[0]), abs(lam[-1]), 1e-300)
-            if lam[0] < -PSD_TOLERANCE * radius:
-                raise NeumannLabError(
-                    f"operator not positive semidefinite: min eigenvalue {lam[0]:.3e}")
-            self._eigenvalues = lam
-            self._basis = U
-            self._sqrt_m = np.sqrt(op.measure_vector)
-        else:
-            self._eigenvalues = None
-            self._basis = None
-            self._sqrt_m = None
-
-    # -- spectral data ----------------------------------------------------
 
     @property
+    def mode(self) -> str:
+        """Solver path behind both actions; always the sparse elimination."""
+        return "elimination"
+
+    @cached_property
     def spectral(self):
-        """(eigenvalues, m-orthonormal eigenvector matrix) or None (stiff mode)."""
-        if self.mode != "spectral":
+        """(eigenvalues, orthonormal eigenvectors of the symmetrized matrix),
+        computed by dense ``eigh`` on first access.
+
+        None when the weighted-degree scale exceeds ``SPECTRAL_SCALE_LIMIT``
+        (the small eigenvalues would drown in rounding) or the operator
+        exceeds ``DENSE_SIZE_CAP``.
+        """
+        op = self.operator
+        if op.scale > SPECTRAL_SCALE_LIMIT or len(op) > DENSE_SIZE_CAP:
             return None
-        return self._eigenvalues, self._basis
+        lam, U = np.linalg.eigh(op.symmetrized)
+        radius = max(abs(lam[0]), abs(lam[-1]), 1e-300)
+        if lam[0] < -PSD_TOLERANCE * radius:
+            raise NeumannLabError(
+                f"operator not positive semidefinite: min eigenvalue {lam[0]:.3e}")
+        return lam, U
 
     # -- exact matrix pieces shared by the solvers -----------------------
 
     @cached_property
     def _offdiag_exact(self):
         op = self.operator
-        rows = []
-        for i in range(len(op)):
-            mi = op.measures[i]
-            if isinstance(mi, (int, Fraction)):
-                rows.append({j: Fraction(b) / Fraction(mi) if isinstance(b, (int, Fraction))
-                             else b / float(mi)
-                             for j, b in op.weights[i].items()})
-            else:
-                rows.append({j: float(b) / mi for j, b in op.weights[i].items()})
-        return rows
+        return [{j: _exact_ratio(b, mi) for j, b in row.items()}
+                for row, mi in zip(op.weights, op.measures)]
 
     @cached_property
     def _excess_exact(self):
         op = self.operator
-        out = []
-        for i in range(len(op)):
-            k, mi = op.killing_mass[i], op.measures[i]
-            if isinstance(k, (int, Fraction)) and isinstance(mi, (int, Fraction)):
-                out.append(Fraction(k) / Fraction(mi))
-            else:
-                out.append(float(k) / float(mi))
-        return out
+        return [_exact_ratio(k, mi) for k, mi in zip(op.killing_mass, op.measures)]
 
     @cached_property
     def _offdiag_float(self):
         return [{j: float(b) for j, b in row.items()} for row in self._offdiag_exact]
+
+    @cached_property
+    def _excess_float(self):
+        return np.array([float(e) for e in self._excess_exact])
 
     # -- heat -------------------------------------------------------------
 
@@ -146,39 +128,25 @@ class SemigroupEngine:
         if t < 0:
             raise InputError(f"negative time t = {t}")
         vec = np.asarray(vec, dtype=float)
-        if t == 0.0:
-            return vec.copy()
-        if self.mode == "spectral":
-            lam = np.maximum(self._eigenvalues, 0.0)
-            w = self._sqrt_m * vec
-            out = self._basis @ (np.exp(-t * lam) * (self._basis.T @ w))
-            out /= self._sqrt_m
-        else:
-            out = _elim.cf_heat(self._offdiag_exact, self._excess_exact, t, vec,
-                                self.operator.scale)
+        out = _elim.cf_heat(self._offdiag_float, self._excess_float, t, vec)
         if (vec >= 0.0).all():
             thresh = CLAMP_RELATIVE * (np.max(np.abs(vec)) if vec.size else 0.0)
             small_neg = (out < 0.0) & (out > -thresh)
-            self.telemetry.add(int(np.count_nonzero(small_neg)))
+            self.telemetry.clamped_entries += int(np.count_nonzero(small_neg))
             out[small_neg] = 0.0
         return out
 
     # -- resolvent ----------------------------------------------------------
 
-    def _gth(self, alpha: float) -> _elim.GTHFactors:
-        with self._lock:
-            fac = self._gth_cache.get(alpha)
-            if fac is None:
-                excess = np.array([float(e) + alpha for e in self._excess_exact])
-                fac = _elim.gth_factor(self._offdiag_float, excess)
-                self._gth_cache[alpha] = fac
-        return fac
-
     def resolvent_vec(self, alpha: float, vec: np.ndarray) -> np.ndarray:
         """(L + alpha)^{-1} vec via subtraction-free elimination."""
         if alpha <= 0:
             raise InputError(f"resolvent parameter must be positive, got {alpha}")
-        return self._gth(alpha).solve(np.asarray(vec, dtype=float))
+        fac = self._gth_cache.get(alpha)
+        if fac is None:
+            fac = _elim.gth_factor(self._offdiag_float, self._excess_float + alpha)
+            self._gth_cache[alpha] = fac
+        return fac.solve(np.asarray(vec, dtype=float))
 
     def resolvent_residual(self, alpha: float, u: np.ndarray, f: np.ndarray) -> float:
         """l2(m) norm of (L+alpha)u - f, accumulated in exact rationals."""

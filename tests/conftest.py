@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neumann_lab import _elim
 from neumann_lab.graphs import WeightedGraph
 
 
@@ -38,3 +39,16 @@ def path_graph(k, b=1, m=1, c=0):
     measure = {i: m for i in range(k)}
     killing = {i: c for i in range(k)} if c else None
     return WeightedGraph.from_data(edges, measure, killing, name=f"path-{k}")
+
+
+def dense_heat(engine, t, vec):
+    """e^{-tL} vec from the engine's on-demand dense eigendecomposition."""
+    lam, U = engine.spectral
+    sqm = np.sqrt(engine.operator.measure_vector)
+    return U @ (np.exp(-t * np.maximum(lam, 0.0)) * (U.T @ (sqm * vec))) / sqm
+
+
+def mp_heat(engine, t, vec):
+    """The same rational approximation as the engine, solved in mpmath."""
+    return _elim.cf_heat_mp(engine._offdiag_exact, engine._excess_exact, t, vec,
+                            engine.operator.scale)

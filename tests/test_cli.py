@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import pytest
 
@@ -143,6 +142,17 @@ class TestExperiments:
         assert code == 0
         assert payload["gap_floor"] <= payload["floor_threshold"]
 
+    def test_weight_beyond_float_cap_is_input_error(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"V 0 1 0\nV 1 1 0\nE 0 1 {2 ** 1100}\n")
+        out = tmp_path / "r"
+        assert main(["--model", f"file:{path}", "--experiment", "feller",
+                     "--out", str(out)]) == 1
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert payload["status"] == "error"
+        assert payload["error_kind"] == "input-error"
+        assert "float cap" in payload["reason"]
+
     def test_dump_matrix(self, capsys):
         code, payload = run_cli(capsys, "--model", "bd:unit",
                                 "--experiment", "uniform-l1", "--t", "0.5",
@@ -164,17 +174,3 @@ class TestDeterminism:
         pa.pop("timestamp"), pb.pop("timestamp")
         assert pa == pb
         assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
-
-    def test_thread_cap_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NEUMANN_LAB_THREADS", "2")
-        out = tmp_path / "t"
-        assert main(["--model", "bd:unit", "--experiment", "l1-defect",
-                     "--truncations", "5:20:5", "--out", str(out)]) == 0
-        monkeypatch.setenv("NEUMANN_LAB_THREADS", "1")
-        out2 = tmp_path / "s"
-        assert main(["--model", "bd:unit", "--experiment", "l1-defect",
-                     "--truncations", "5:20:5", "--out", str(out2)]) == 0
-        pa = json.loads((tmp_path / "t.json").read_text())
-        pb = json.loads((tmp_path / "s.json").read_text())
-        pa.pop("timestamp"), pb.pop("timestamp")
-        assert pa == pb

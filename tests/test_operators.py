@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,17 @@ class TestDirichletAssembly:
         g = path_graph(3)
         with pytest.raises(InputError, match="disconnected"):
             assemble_dirichlet(g, [0, 2])
+
+    @pytest.mark.parametrize("bad", [0, -1, Fraction(-1, 2), float("nan")])
+    def test_rejects_nonpositive_lazy_measure(self, bad):
+        # lazy graphs skip from_data's measure check
+        g = WeightedGraph.lazy(
+            neighbor_fn=lambda x: ({1: 1} if x == 0 else {x - 1: 1, x + 1: 1}),
+            measure_fn=lambda x: bad if x == 1 else 1)
+        for assemble in (assemble_dirichlet, assemble_neumann):
+            assemble(g, [0])
+            with pytest.raises(InputError, match="nonpositive measure"):
+                assemble(g, [0, 1])
 
 
 class TestNeumannAssembly:
