@@ -151,11 +151,10 @@ def reference_indices(model: models.Model, indices: list[int], factor: int = 4) 
         return list(range(top, cap + 1)) if cap > top else [top]
     if rule == "chain-prefixes":
         goal = top * factor
-        if model.chain is not None:
-            try:
-                models.make_exhaustion(model, 0, indices=[goal])
-            except OverflowCapError as ex:
-                goal = ex.usable_cap
+        try:
+            models._check_chain_cap(model, goal)
+        except OverflowCapError as ex:
+            goal = ex.usable_cap
         step = max(1, (goal - top) // 12)
         return list(range(top, goal + 1, step))
     return indices

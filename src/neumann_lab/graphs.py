@@ -8,7 +8,9 @@ that need structured indices (e.g. a two-dimensional comb) attach a label map.
 Finite graphs store each undirected edge once and mirror it on read, which
 makes the symmetry b(x,y) = b(y,x) hold by construction.  Infinite graphs are
 described by neighbor/measure/killing callbacks and are only ever
-materialized through an :class:`Exhaustion`.
+materialized through an :class:`Exhaustion`; each vertex's callback results
+are cached on first use, so every truncation reads them without
+re-evaluating the callbacks.
 
 Weights may be ``int``, :class:`~fractions.Fraction`, or ``float``.  Exact
 rational weights survive untouched until operator assembly, which matters for
@@ -65,6 +67,12 @@ class WeightedGraph:
         self._killing_fn = _killing_fn
         self._row_sum_fn = _row_sum_fn
         self._label_fn = _label_fn
+        # lazy graphs only: callback results per vertex, filled on first use,
+        # and the float conversions operator assembly derives from them
+        self._rows: dict[int, dict[int, object]] = {}
+        self._measures: dict[int, object] = {}
+        self._killings: dict[int, object] = {}
+        self._interior_rows: dict[int, object] = {}
         if _edges is not None:
             adj = {x: {} for x in _measure}
             for (x, y), b in _edges.items():
@@ -128,6 +136,11 @@ class WeightedGraph:
         ``neighbor_fn(x)`` returns ``{y: b(x,y)}`` for the locally finite
         neighborhood of ``x``; ``row_sum_fn`` may be supplied when the total
         degree has a cheaper closed form than summing neighbors.
+
+        The callbacks must be pure functions of the vertex: the neighbor
+        row (positive weights only), the measure and the killing of each
+        vertex are cached on first use, and operator assembly caches their
+        float conversions too.  A callback that raises caches nothing.
         """
         return cls(_neighbor_fn=neighbor_fn, _measure_fn=measure_fn,
                    _killing_fn=killing_fn, _row_sum_fn=row_sum_fn,
@@ -149,11 +162,19 @@ class WeightedGraph:
             raise InputError("lazy graph has no size")
         return len(self._measure)
 
+    def _row(self, x: int) -> dict[int, object]:
+        """Neighbor map {y: b(x,y)} with positive weights; callers must not
+        mutate it (it is the graph's own storage)."""
+        if self.is_finite:
+            return self._adj.get(x, {})
+        row = self._rows.get(x)
+        if row is None:
+            row = self._rows[x] = {y: b for y, b in self._neighbor_fn(x).items() if b > 0}
+        return row
+
     def neighbors(self, x: int) -> dict[int, object]:
         """Neighbor map {y: b(x,y)} with positive weights only."""
-        if self.is_finite:
-            return dict(self._adj.get(x, {}))
-        return {y: b for y, b in self._neighbor_fn(x).items() if b > 0}
+        return dict(self._row(x))
 
     def edge_weight(self, x: int, y: int):
         """b(x,y), mirrored read; 0 for non-edges and on the diagonal."""
@@ -162,7 +183,7 @@ class WeightedGraph:
         if self.is_finite:
             key = (x, y) if x < y else (y, x)
             return self._edges.get(key, 0)
-        return self._neighbor_fn(x).get(y, 0)
+        return self._row(x).get(y, 0)
 
     def measure(self, x: int):
         if self.is_finite:
@@ -170,20 +191,26 @@ class WeightedGraph:
                 return self._measure[x]
             except KeyError:
                 raise InputError(f"unknown vertex {x}") from None
-        return self._measure_fn(x)
+        m = self._measures.get(x)
+        if m is None:
+            m = self._measures[x] = self._measure_fn(x)
+        return m
 
     def killing(self, x: int):
         if self.is_finite:
             return self._killing.get(x, 0)
         if self._killing_fn is None:
             return 0
-        return self._killing_fn(x)
+        c = self._killings.get(x)
+        if c is None:
+            c = self._killings[x] = self._killing_fn(x)
+        return c
 
     def row_sum(self, x: int):
         """Total degree sum_y b(x,y) of the full (unrestricted) graph."""
         if self._row_sum_fn is not None:
             return self._row_sum_fn(x)
-        return sum(self.neighbors(x).values())
+        return sum(self._row(x).values())
 
     def label(self, x: int):
         if self._label_fn is None:
@@ -311,8 +338,8 @@ def vertex_boundary(g: WeightedGraph, subset: Iterable[int]) -> set[int]:
     inside = set(subset)
     out = set()
     for x in inside:
-        for y, b in g.neighbors(x).items():
-            if b > 0 and y not in inside:
+        for y in g._row(x):
+            if y not in inside:
                 out.add(x)
                 break
     return out
@@ -328,8 +355,8 @@ def is_connected(g: WeightedGraph, subset: Iterable[int]) -> bool:
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        for y, b in g.neighbors(x).items():
-            if b > 0 and y in inside and y not in seen:
+        for y in g._row(x):
+            if y in inside and y not in seen:
                 seen.add(y)
                 queue.append(y)
     return seen == inside

@@ -172,6 +172,15 @@ def comb_truncation(depth: int, teeth: int) -> list[int]:
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
+# deeper expressions are rejected, so evaluating one (a recursion per level)
+# stays far below Python's recursion limit
+MAX_EXPR_DEPTH = 100
+
+# a power b**e is computed only while |e| * (bit length of b) stays below
+# this many bits; float-representable rates need about 2^10 bits, and the
+# classifier's log domain handles rates well beyond 2^1000
+MAX_POWER_BITS = 2 ** 24
+
 
 def parse_sequence_expr(expr: str) -> Callable[[int], Fraction]:
     """Compile a restricted arithmetic expression in r to an exact sequence.
@@ -179,21 +188,29 @@ def parse_sequence_expr(expr: str) -> Callable[[int], Fraction]:
     Allowed: integer literals, the variable r, + - * / and ** with an
     integer-valued exponent, parentheses, unary minus.  Everything is
     evaluated in rational arithmetic, so e.g. ``2**(-r)`` and
-    ``1/(r+1)**2`` stay exact at every index.
+    ``1/(r+1)**2`` stay exact at every index.  Expressions nested deeper
+    than ``MAX_EXPR_DEPTH`` and powers beyond ``MAX_POWER_BITS`` bits are
+    rejected with ``InputError``.
     """
     try:
         tree = ast.parse(expr, mode="eval")
-    except SyntaxError as ex:
+    except (SyntaxError, ValueError) as ex:
         raise InputError(f"cannot parse expression {expr!r}: {ex}") from None
+    except (RecursionError, MemoryError):
+        raise InputError("expression is nested too deeply to parse") from None
 
-    def check(node: ast.AST):
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            check(node.left)
-            check(node.right)
+    # iterative, so that depth is reported instead of exhausting the stack;
+    # the right operand is pushed first so errors are found left to right
+    stack = [(tree.body, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_EXPR_DEPTH:
+            raise InputError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
+            stack.append((node.right, depth + 1))
+            stack.append((node.left, depth + 1))
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            check(node.operand)
+            stack.append((node.operand, depth + 1))
         elif isinstance(node, ast.Constant):
             if not isinstance(node.value, int):
                 raise InputError(
@@ -204,8 +221,6 @@ def parse_sequence_expr(expr: str) -> Callable[[int], Fraction]:
                 raise InputError(f"unknown variable {node.id!r} in {expr!r}")
         else:
             raise InputError(f"disallowed syntax {type(node).__name__} in {expr!r}")
-
-    check(tree)
 
     def evaluate(node: ast.AST, r: int) -> Fraction:
         if isinstance(node, ast.Expression):
@@ -233,7 +248,12 @@ def parse_sequence_expr(expr: str) -> Callable[[int], Fraction]:
             raise InputError(f"non-integer exponent in {expr!r} at r={r}")
         if left == 0 and right < 0:
             raise InputError(f"zero to a negative power in {expr!r} at r={r}")
-        return left ** int(right)
+        exponent = int(right)
+        bits = max(left.numerator.bit_length(), left.denominator.bit_length())
+        if abs(exponent) * bits > MAX_POWER_BITS:
+            raise InputError(
+                f"power in {expr!r} at r={r} would exceed {MAX_POWER_BITS} bits")
+        return left ** exponent
 
     def fn(r: int) -> Fraction:
         return evaluate(tree, r)

@@ -6,19 +6,25 @@ Two restrictions of the Laplacian to a finite connected subset are supported:
   so ``(Lf)(x) = (1/m) sum_{y in K} b(x,y)(f(x)-f(y)) + ((b_out(x)+c(x))/m) f(x)``.
 * Neumann: the Laplacian of the induced subgraph; outgoing edges are ignored.
 
-Operators keep their defining data exact (weights as int/Fraction/float) so
-residual certificates and the mpmath reference see entries without rounding.
-The dense float matrix is materialized lazily behind an overflow guard.
+Operators keep their defining data exact (weights as int/Fraction/float),
+so the residual certificate and the mpmath reference see entries without
+rounding.  Assembly also builds the float rows every solver runs on: the
+off-diagonal ratios b/m, the excess (killing mass)/m and the diagonal, each
+value converted once behind the overflow guard, so an operator beyond the
+float cap fails at assembly.  On lazy graphs the conversions of a vertex
+whose whole neighbour row lies in the subset are cached per graph, so later
+truncations reuse them; only boundary vertices need a per-subset exact sum.
+The dense float matrix is materialized lazily from the float rows.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +43,7 @@ __all__ = [
 
 # float64 overflows at 2^1024; pivot row sums add at most a couple of bits
 FLOAT_EXP_CAP = 1000
+_FLOAT_CAP_VALUE = 2 ** FLOAT_EXP_CAP
 
 DENSE_SIZE_CAP = 4096
 
@@ -49,13 +56,13 @@ class OperatorKind(enum.Enum):
 def _float_guard(value, what: str):
     """Exact-to-float conversion that refuses values beyond the cap."""
     if isinstance(value, (Fraction, int)):
-        num = Fraction(value)
-        if num != 0 and abs(num) >= Fraction(2) ** FLOAT_EXP_CAP:
-            bits = abs(num).numerator.bit_length() - abs(num).denominator.bit_length()
+        if abs(value) >= _FLOAT_CAP_VALUE:
+            num = abs(Fraction(value))
+            bits = num.numerator.bit_length() - num.denominator.bit_length()
             raise OverflowCapError(
                 f"{what} ~ 2^{bits} exceeds the float cap 2^{FLOAT_EXP_CAP}; "
                 f"use a smaller truncation")
-        return float(num)
+        return float(value)
     v = float(value)
     if math.isinf(v) or math.isnan(v):
         raise OverflowCapError(f"{what} is not float-representable")
@@ -78,6 +85,12 @@ class RestrictedOperator:
     indices, ``killing_mass[i]`` the diagonal mass c(x_i) plus, for the
     Dirichlet kind, the total weight of edges leaving the subset.  The local
     index order is the subset's insertion order, fixed at assembly.
+
+    The float rows are built from that exact data at assembly:
+    ``offdiag[i][j] = b(x_i, x_j)/m(x_i)``, ``excess[i] = killing_mass[i]/m(x_i)``
+    and ``diagonal[i] = (sum_j b(x_i, x_j) + killing_mass[i])/m(x_i)``, each
+    the float nearest to the exact ratio (a float division where an operand
+    is a float).
     """
 
     kind: OperatorKind
@@ -86,6 +99,9 @@ class RestrictedOperator:
     weights: tuple[dict[int, object], ...]
     killing_mass: tuple[object, ...]
     measures: tuple[object, ...]
+    offdiag: tuple[dict[int, float], ...] = field(compare=False)
+    excess: np.ndarray = field(compare=False)
+    diagonal: np.ndarray = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -97,12 +113,7 @@ class RestrictedOperator:
     @cached_property
     def scale(self) -> float:
         """Largest diagonal entry of the matrix (weighted degree scale)."""
-        best = 0.0
-        for i in range(len(self.vertices)):
-            d = _exact_ratio(sum(self.weights[i].values()) + self.killing_mass[i],
-                             self.measures[i])
-            best = max(best, _float_guard(d, f"degree at vertex {self.vertices[i]}"))
-        return best
+        return float(self.diagonal.max())
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -111,12 +122,10 @@ class RestrictedOperator:
         if n > DENSE_SIZE_CAP:
             raise InputError(f"dense matrix capped at {DENSE_SIZE_CAP} vertices (got {n})")
         A = np.zeros((n, n))
-        for i in range(n):
-            mi = self.measures[i]
-            diag = _exact_ratio(sum(self.weights[i].values()) + self.killing_mass[i], mi)
-            A[i, i] = _float_guard(diag, f"diagonal at {self.vertices[i]}")
-            for j, b in self.weights[i].items():
-                A[i, j] = -_float_guard(_exact_ratio(b, mi), f"entry ({i},{j})")
+        for i, row in enumerate(self.offdiag):
+            for j, v in row.items():
+                A[i, j] = -v
+        np.fill_diagonal(A, self.diagonal)
         return A
 
     @cached_property
@@ -148,6 +157,31 @@ class RestrictedOperator:
         return VertexFunction({x: float(v) for x, v in zip(self.vertices, vec) if v != 0.0})
 
 
+class _InteriorRow(NamedTuple):
+    """Float data of a lazy-graph vertex x whose whole neighbour row lies in
+    the subset, as the assembly below would compute it there."""
+
+    ratios: tuple[float, ...]  # b(x, y)/m(x) per neighbour y, in row order
+    excess: float              # c(x)/m(x)
+    degree: float              # (sum_y b(x, y) + c(x))/m(x)
+    closed: bool               # row_sum(x) is that sum: no Dirichlet boundary term
+
+
+def _interior_row(g: WeightedGraph, x: int, nbrs, kill, mx) -> _InteriorRow:
+    """The cached interior row of a lazy-graph vertex, built on its first
+    interior use (an interior row overflows only if the operator does)."""
+    cache = g._interior_rows
+    row = cache.get(x)
+    if row is None:
+        total = sum(nbrs.values())
+        degree = _float_guard(_exact_ratio(total + kill, mx), f"degree at vertex {x}")
+        ratios = tuple(_float_guard(_exact_ratio(b, mx), f"entry ({x},{y})")
+                       for y, b in nbrs.items())
+        row = cache[x] = _InteriorRow(ratios, _float_guard(_exact_ratio(kill, mx), "excess"),
+                                      degree, g.row_sum(x) == total)
+    return row
+
+
 def _assemble(kind: OperatorKind, g: WeightedGraph, subset: Sequence[int]) -> RestrictedOperator:
     vertices = tuple(subset)
     if not vertices:
@@ -156,33 +190,56 @@ def _assemble(kind: OperatorKind, g: WeightedGraph, subset: Sequence[int]) -> Re
         raise InputError("subset contains duplicates")
     if not is_connected(g, vertices):
         raise InputError("subset induces a disconnected subgraph")
+    dirichlet = kind is OperatorKind.DIRICHLET
     index = {x: i for i, x in enumerate(vertices)}
-    weights = []
-    killing_mass = []
-    measures = []
+    weights, killing_mass, measures = [], [], []
+    offdiag, excess, diagonal = [], [], []
     for x in vertices:
-        nbrs = g.neighbors(x)
-        row = {index[y]: b for y, b in nbrs.items() if y in index}
+        nbrs = g._row(x)
         kill = g.killing(x)
         if kill < 0:
             raise InputError(f"negative killing at {x}")
-        if kind is OperatorKind.DIRICHLET:
-            # boundary term = full row sum minus the in-subset part, which
-            # avoids enumerating the (possibly infinite) complement
-            outside = g.row_sum(x) - sum(nbrs[y] for y in nbrs if y in index)
-            if outside < 0:
-                if float(abs(outside)) > 1e-12 * float(g.row_sum(x)):
-                    raise InputError(f"inconsistent row sum at vertex {x}")
-                outside = 0
-            kill = kill + outside
         mx = g.measure(x)
         if not mx > 0:
             raise InputError(f"nonpositive measure m({x}) = {mx}")
+        row = {index[y]: b for y, b in nbrs.items() if y in index}
+        interior = None
+        if not g.is_finite and len(row) == len(nbrs):
+            interior = _interior_row(g, x, nbrs, kill, mx)
+            if dirichlet and not interior.closed:
+                interior = None
+        if interior is not None:
+            offdiag.append(dict(zip(row, interior.ratios)))
+            excess.append(interior.excess)
+            diagonal.append(interior.degree)
+        else:
+            inner = sum(row.values())
+            if dirichlet:
+                # boundary term = full row sum minus the in-subset part, which
+                # avoids enumerating the (possibly infinite) complement
+                outside = g.row_sum(x) - inner
+                if outside < 0:
+                    if float(abs(outside)) > 1e-12 * float(g.row_sum(x)):
+                        raise InputError(f"inconsistent row sum at vertex {x}")
+                    outside = 0
+                kill = kill + outside
+            diagonal.append(_float_guard(_exact_ratio(inner + kill, mx),
+                                         f"degree at vertex {x}"))
+            offdiag.append({j: _float_guard(_exact_ratio(b, mx), f"entry ({x},{vertices[j]})")
+                            for j, b in row.items()})
+            excess.append(_float_guard(_exact_ratio(kill, mx), "excess"))
         weights.append(row)
         killing_mass.append(kill)
         measures.append(mx)
-    return RestrictedOperator(kind, g, vertices, tuple(weights),
-                              tuple(killing_mass), tuple(measures))
+    return RestrictedOperator(kind, g, vertices, tuple(weights), tuple(killing_mass),
+                              tuple(measures), tuple(offdiag),
+                              _frozen_array(excess), _frozen_array(diagonal))
+
+
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def assemble_dirichlet(g: WeightedGraph, subset: Sequence[int]) -> RestrictedOperator:

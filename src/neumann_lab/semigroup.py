@@ -10,13 +10,16 @@ elimination in :mod:`._elim`, in float64:
   is componentwise accurate for nonnegative data at any dynamic range;
   signed right-hand sides are split by sign.
 
-Residuals are verified in exact rational arithmetic, so the check itself
-cannot drown in rounding.  A dense eigendecomposition is available on
-demand for diagnostics at moderate scale, and no action depends on it.
+Both actions read the float rows that operator assembly built once
+(``offdiag``, ``excess``); the operator's exact data feeds only the residual
+certificate and the mpmath reference.  Residuals are verified in exact
+rational arithmetic, so the check itself cannot drown in rounding.  A dense eigendecomposition is available
+on demand for diagnostics at moderate scale, and no action depends on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -66,12 +69,11 @@ class ResolventResult:
 class SemigroupEngine:
     """Shared elimination data for heat and resolvent actions of one operator.
 
-    Construction evaluates ``op.scale``, so an operator whose entries are
-    beyond the float cap fails here with ``OverflowCapError``.
+    The operator's float rows were built, behind the overflow guard, when it
+    was assembled, so construction does no arithmetic.
     """
 
     def __init__(self, op: RestrictedOperator):
-        op.scale  # evaluated for its overflow check
         self.operator = op
         self.telemetry = _Telemetry()
         self._gth_cache: dict[float, _elim.GTHFactors] = {}
@@ -100,7 +102,7 @@ class SemigroupEngine:
                 f"operator not positive semidefinite: min eigenvalue {lam[0]:.3e}")
         return lam, U
 
-    # -- exact matrix pieces shared by the solvers -----------------------
+    # -- exact matrix pieces for the residual and the mpmath reference --
 
     @cached_property
     def _offdiag_exact(self):
@@ -113,14 +115,6 @@ class SemigroupEngine:
         op = self.operator
         return [_exact_ratio(k, mi) for k, mi in zip(op.killing_mass, op.measures)]
 
-    @cached_property
-    def _offdiag_float(self):
-        return [{j: float(b) for j, b in row.items()} for row in self._offdiag_exact]
-
-    @cached_property
-    def _excess_float(self):
-        return np.array([float(e) for e in self._excess_exact])
-
     # -- heat -------------------------------------------------------------
 
     def heat_vec(self, t: float, vec: np.ndarray) -> np.ndarray:
@@ -128,7 +122,8 @@ class SemigroupEngine:
         if t < 0:
             raise InputError(f"negative time t = {t}")
         vec = np.asarray(vec, dtype=float)
-        out = _elim.cf_heat(self._offdiag_float, self._excess_float, t, vec)
+        op = self.operator
+        out = _elim.cf_heat(op.offdiag, op.excess, t, vec)
         if (vec >= 0.0).all():
             thresh = CLAMP_RELATIVE * (np.max(np.abs(vec)) if vec.size else 0.0)
             small_neg = (out < 0.0) & (out > -thresh)
@@ -144,7 +139,8 @@ class SemigroupEngine:
             raise InputError(f"resolvent parameter must be positive, got {alpha}")
         fac = self._gth_cache.get(alpha)
         if fac is None:
-            fac = _elim.gth_factor(self._offdiag_float, self._excess_float + alpha)
+            op = self.operator
+            fac = _elim.gth_factor(op.offdiag, op.excess + alpha)
             self._gth_cache[alpha] = fac
         return fac.solve(np.asarray(vec, dtype=float))
 
@@ -161,7 +157,13 @@ class SemigroupEngine:
                 acc -= Fraction(b) * Fraction(u[j])
             acc -= Fraction(f[i])
             total += acc * acc * Fraction(op.measures[i])
-        return float(total) ** 0.5
+        try:
+            return float(total) ** 0.5
+        except OverflowError:
+            # the squared norm is beyond float range while the norm is not:
+            # halve the exponent exactly before converting
+            half = (total.numerator.bit_length() - total.denominator.bit_length()) // 2
+            return math.ldexp(float(total / (1 << 2 * half)) ** 0.5, half)
 
 
 # -- module-level operations matching the lab's vocabulary -------------------

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from neumann_lab import _elim
 from neumann_lab.graphs import WeightedGraph
+
+# one profile for every property test: derandomized, so the suite gives the
+# same verdict on every run, and without deadlines, which slow hosts miss
+settings.register_profile("neumann-lab", derandomize=True, database=None, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("neumann-lab")
 
 
 def random_connected_graph(rng, n_max=60, with_killing=False):

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from neumann_lab.cli import main, parse_certificates, parse_truncations
+from neumann_lab import models
+from neumann_lab.cli import main, parse_certificates, parse_truncations, reference_indices
 from neumann_lab.errors import InputError
 
 
@@ -34,6 +35,14 @@ class TestParsing:
         for bad in ("inv_b", "inv_b=maybe", "zzz=divergent", "measure=big"):
             with pytest.raises(InputError):
                 parse_certificates(bad)
+
+    def test_chain_reference_indices(self):
+        explosive = models.PRESETS["bd:explosive"]()
+        unit = models.PRESETS["bd:unit"]()
+        indices = list(range(10, 201, 10))
+        # the 4^r chain's goal of 800 is capped at the largest usable prefix
+        assert reference_indices(explosive, indices) == list(range(200, 501, 25))
+        assert reference_indices(unit, indices) == list(range(200, 801, 50))
 
 
 class TestExperiments:
@@ -152,6 +161,16 @@ class TestExperiments:
         assert payload["status"] == "error"
         assert payload["error_kind"] == "input-error"
         assert "float cap" in payload["reason"]
+
+    @pytest.mark.parametrize("rate", ["r" + "+r" * 1000, "2**(2**40)"],
+                             ids=["deep-sum", "huge-power"])
+    def test_hostile_rate_is_input_error(self, tmp_path, rate):
+        out = tmp_path / "r"
+        assert main(["--model", "bd:custom", "--rate", rate, "--measure", "1",
+                     "--experiment", "classify", "--out", str(out)]) == 1
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert payload["status"] == "error"
+        assert payload["error_kind"] == "input-error"
 
     def test_dump_matrix(self, capsys):
         code, payload = run_cli(capsys, "--model", "bd:unit",

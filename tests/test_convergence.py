@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from neumann_lab.convergence import (
     neumann_convergence_experiment,
 )
 from neumann_lab.errors import InputError, NeumannLabError, TruncationInsufficientError
-from neumann_lab.graphs import Exhaustion, VertexFunction
+from neumann_lab.graphs import Exhaustion, VertexFunction, WeightedGraph
 from neumann_lab.operators import assemble_dirichlet, assemble_neumann
 from neumann_lab.semigroup import SemigroupEngine
 
@@ -185,6 +187,31 @@ class TestL1Defect:
         rep = l1_defect_experiment(m.graph, ex, 1.0, phi, ref_exhaustion=ref_ex)
         assert rep.stochastic_defect > 0.01
         assert all(d >= rep.stochastic_defect - 1e-9 for d in rep.l1_distance)
+
+    def test_lazy_callbacks_run_once_per_vertex(self):
+        # the 4^r chain: every truncation and the reference reuse the rows,
+        # measures and float conversions cached on first use
+        calls = Counter()
+
+        def neighbors(v):
+            calls["row", v] += 1
+            out = {v + 1: Fraction(4) ** v}
+            if v > 0:
+                out[v - 1] = Fraction(4) ** (v - 1)
+            return out
+
+        def measure(v):
+            calls["measure", v] += 1
+            return 1
+
+        g = WeightedGraph.lazy(neighbor_fn=neighbors, measure_fn=measure)
+        ex = Exhaustion.build(g, [range(s) for s in range(10, 201, 10)])
+        ref = Exhaustion.build(g, [range(s) for s in range(200, 481, 20)])
+        report = l1_defect_experiment(g, ex, 1.0, VertexFunction.indicator(0),
+                                      ref_exhaustion=ref)
+        assert report.stochastic_defect > 0.36
+        assert {v for _, v in calls} == set(range(480))
+        assert max(calls.values()) == 1
 
     def test_rejects_killing(self):
         g = path_graph(4, c=0.5)

@@ -1,17 +1,20 @@
-"""Property tests of the float64 elimination kernel behind every heat action.
+"""Property tests of the float64 elimination kernel behind every heat and
+resolvent action.
 
 Graphs are trees, optionally with extra edges that force fill-in, with
-exact power-of-two weights, killing and measures.  Weights span 2^-900 to
-2^900.  The kernel is checked against the same rational approximation
-solved in mpmath (so only rounding separates them), against dense ``eigh``
-where the scale allows it, and against the semigroup's own invariants:
-Neumann mass conservation and Dirichlet-below-Neumann domination.
+exact power-of-two weights and killing, and power-of-two or small-fraction
+measures.  Weights span 2^-900 to 2^900.  The heat kernel is checked
+against the same rational approximation solved in mpmath (so only rounding
+separates them), against dense ``eigh`` where the scale allows it, and
+against the semigroup's own invariants: Neumann mass conservation and
+Dirichlet-below-Neumann domination.  The resolvent is checked against an
+exact rational solve and through its exact residual certificate.
 """
 
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neumann_lab.graphs import WeightedGraph
@@ -20,17 +23,14 @@ from neumann_lab.semigroup import SemigroupEngine
 
 from conftest import dense_heat, mp_heat
 
-# derandomized, so the suite gives the same verdict on every run
-PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
-                             database=None, suppress_health_check=[HealthCheck.too_slow])
-
 TIMES = st.sampled_from([1e-3, 0.01, 0.3, 1.0, 10.0])
 
 
 @st.composite
-def graphs(draw, max_exp=900, max_n=40, killing=True):
+def graphs(draw, max_exp=900, max_n=40, killing=True, dyadic=True):
     """(graph, n): a tree on 0..n-1 whose every prefix is connected, plus
-    optional extra edges, killing and nonuniform measures."""
+    optional extra edges, killing and nonuniform measures (powers of two,
+    or with ``dyadic=False`` fractions p/q with p, q <= 12)."""
     n = draw(st.integers(2, max_n))
     power = st.integers(-max_exp, max_exp).map(lambda k: Fraction(2) ** k)
     edges = {}
@@ -40,7 +40,11 @@ def graphs(draw, max_exp=900, max_n=40, killing=True):
                               max_size=n)):
         if u != v:
             edges.setdefault((min(u, v), max(u, v)), draw(power))
-    measure = {v: Fraction(2) ** draw(st.integers(-4, 4)) for v in range(n)}
+    if dyadic:
+        masses = st.integers(-4, 4).map(lambda k: Fraction(2) ** k)
+    else:
+        masses = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+    measure = {v: draw(masses) for v in range(n)}
     killed = draw(st.sets(st.integers(0, n - 1), max_size=n // 3)) if killing else ()
     return WeightedGraph.from_data(edges, measure, {v: draw(power) for v in killed}), n
 
@@ -51,7 +55,7 @@ def nonneg_vector(n, seed):
     return vec
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=25)
 @given(graphs(), TIMES, st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_agrees_with_mpmath(graph, t, seed, neumann):
     g, n = graph
@@ -65,7 +69,7 @@ def test_agrees_with_mpmath(graph, t, seed, neumann):
     assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(vec)
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=25)
 @given(graphs(max_exp=2), TIMES, st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_agrees_with_dense_eigh(graph, t, seed, neumann):
     g, n = graph
@@ -78,7 +82,7 @@ def test_agrees_with_dense_eigh(graph, t, seed, neumann):
     assert np.max(np.abs(u - dense_heat(e, t, vec))) <= 1e-12 * np.max(np.abs(vec))
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=25)
 @given(graphs(killing=False), TIMES, st.integers(0, 2 ** 32 - 1))
 def test_neumann_mass_conserved(graph, t, seed):
     g, n = graph
@@ -90,7 +94,7 @@ def test_neumann_mass_conserved(graph, t, seed):
     assert abs(after - before) <= 1e-12 * before
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=25)
 @given(graphs(), TIMES, st.integers(0, 2 ** 32 - 1), st.data())
 def test_dirichlet_below_neumann(graph, t, seed, data):
     g, n = graph
@@ -100,3 +104,70 @@ def test_dirichlet_below_neumann(graph, t, seed, data):
     un = SemigroupEngine(assemble_neumann(g, subset)).heat_vec(t, vec)
     assert (ud >= 0).all()
     assert (ud <= un + 1e-12 * np.max(vec)).all()
+
+
+ALPHAS = st.sampled_from([0.01, 0.5, 1.0, 10.0])
+
+
+def exact_resolvent(op, alpha, vec):
+    """(A + alpha)^{-1} vec by Gaussian elimination in Fractions, from the
+    operator's exact weights, killing mass and measures.  A + alpha is
+    strictly diagonally dominant by rows, so no pivoting is needed."""
+    n = len(op)
+    rows = []
+    for i in range(n):
+        mi = Fraction(op.measures[i])
+        row = [Fraction(0)] * n + [Fraction(vec[i])]
+        row[i] = (sum(map(Fraction, op.weights[i].values()))
+                  + Fraction(op.killing_mass[i])) / mi + Fraction(alpha)
+        for j, b in op.weights[i].items():
+            row[j] = -Fraction(b) / mi
+        rows.append(row)
+    for k in range(n):
+        for i in range(k + 1, n):
+            if rows[i][k]:
+                factor = rows[i][k] / rows[k][k]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    u = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        acc = rows[i][n] - sum(rows[i][j] * u[j] for j in range(i + 1, n))
+        u[i] = acc / rows[i][i]
+    return u
+
+
+@settings(max_examples=25)
+@given(graphs(max_n=12, dyadic=False), ALPHAS, st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.booleans())
+def test_resolvent_agrees_with_exact_solve(graph, alpha, seed, neumann, signed):
+    g, n = graph
+    op = (assemble_neumann if neumann else assemble_dirichlet)(g, list(range(n)))
+    e = SemigroupEngine(op)
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=n) if signed else nonneg_vector(n, seed)
+    u = e.resolvent_vec(alpha, vec)
+    exact = exact_resolvent(op, alpha, vec)
+    err = [abs(Fraction(ui) - xi) for ui, xi in zip(u.tolist(), exact)]
+    if signed:
+        assert max(err) <= Fraction(1e-12) * Fraction(np.max(np.abs(vec)))
+    else:
+        # subtraction-free elimination is accurate in every component
+        assert all(ei <= Fraction(1e-12) * xi for ei, xi in zip(err, exact))
+
+
+@settings(max_examples=25)
+@given(graphs(max_n=12, dyadic=False), ALPHAS, st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_resolvent_residual_is_small(graph, alpha, seed, neumann):
+    g, n = graph
+    op = (assemble_neumann if neumann else assemble_dirichlet)(g, list(range(n)))
+    e = SemigroupEngine(op)
+    vec = np.random.default_rng(seed).normal(size=n)
+    u = e.resolvent_vec(alpha, vec)
+    # relative to the size of the terms the residual sums, |A + alpha| |u|
+    # + |f|: rounding u to floats alone leaves a residual of eps times this
+    terms = np.abs(vec) + (op.diagonal + alpha) * np.abs(u)
+    for i, row in enumerate(op.offdiag):
+        terms[i] += sum(v * abs(u[j]) for j, v in row.items())
+    top = float(np.max(terms))
+    size = top * float(np.sqrt(((terms / top) ** 2 * op.measure_vector).sum()))
+    assert e.resolvent_residual(alpha, u, vec) <= 1e-10 * size

@@ -1,7 +1,10 @@
+import re
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neumann_lab.errors import InputError, OverflowCapError
 from neumann_lab import models
@@ -113,6 +116,60 @@ class TestExpressions:
     def test_rejects_nonpositive_sequences(self):
         with pytest.raises(InputError, match="nonpositive"):
             models.make_bd_chain("r", "1")   # rate 0 at r=0
+
+    def test_deep_sum_is_input_error(self):
+        with pytest.raises(InputError, match="deeper"):
+            models.parse_sequence_expr("r" + "+r" * 1000)
+
+    def test_deep_unary_chain_is_input_error(self):
+        with pytest.raises(InputError, match="nested too deeply"):
+            models.parse_sequence_expr("-" * 5000 + "1")
+
+    def test_huge_power_is_input_error(self):
+        fn = models.parse_sequence_expr("2**(10**7)")
+        with pytest.raises(InputError, match="bits"):
+            fn(0)
+
+    def test_rates_beyond_the_float_cap_stay_exact(self):
+        assert models.parse_sequence_expr("4**r")(600) == 4 ** 600
+        assert models.parse_sequence_expr("2**(-r)")(1500) == Fraction(1, 2 ** 1500)
+
+
+def expressions():
+    """Expressions in r over the parser's grammar, with small literals."""
+    leaves = st.one_of(st.just("r"), st.integers(0, 12).map(str))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+            st.tuples(inner, inner).map(lambda t: f"({t[0]})**({t[1]})"),
+            inner.map(lambda e: f"-({e})")),
+        max_leaves=8)
+
+
+class TestExpressionProperties:
+    @settings(max_examples=25)
+    @given(expressions(), st.integers(0, 20))
+    def test_value_or_input_error(self, expr, r):
+        try:
+            value = models.parse_sequence_expr(expr)(r)
+        except InputError:
+            return
+        # Python's own arithmetic on Fraction literals is the oracle; a value
+        # the parser accepts has bounded powers, so it is fast
+        exact = re.sub(r"\d+", lambda m: f"F({m.group()})", expr)
+        assert value == eval(exact, {"__builtins__": {}}, {"F": Fraction, "r": Fraction(r)})
+        assert isinstance(value, Fraction)
+
+    @settings(max_examples=25)
+    @given(st.text(alphabet="r0123456789+-*/() .x_[]", max_size=16), st.integers(0, 20))
+    def test_arbitrary_text_is_input_error_or_fraction(self, text, r):
+        try:
+            value = models.parse_sequence_expr(text)(r)
+        except InputError:
+            return
+        assert isinstance(value, Fraction)
 
 
 class TestPresets:

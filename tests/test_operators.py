@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from neumann_lab.errors import InputError
+from neumann_lab import models
+from neumann_lab.errors import InputError, OverflowCapError
 from neumann_lab.graphs import Exhaustion, VertexFunction, WeightedGraph
 from neumann_lab.operators import (
     OperatorKind,
@@ -203,3 +204,100 @@ class TestDump:
         rows = [l for l in out.splitlines() if not l.startswith("#")]
         assert len(rows) == 4
         assert rows[0].split() == ["0", "0", "1.0"]
+
+
+def reference_ratio(num, den):
+    """num/den as the float rows define it: the float nearest the exact
+    ratio of int/Fraction operands, float division when one is a float."""
+    if isinstance(num, float) or isinstance(den, float):
+        return float(num) / float(den)
+    return float(Fraction(num) / Fraction(den))
+
+
+def is_exact(*values):
+    return not any(isinstance(v, float) for v in values)
+
+
+def check_float_rows(op):
+    """Compare the float rows built at assembly with values recomputed
+    here from the operator's exact data and from the graph."""
+    g = op.graph
+    inside = set(op.vertices)
+    for i, x in enumerate(op.vertices):
+        row, kill, m = op.weights[i], op.killing_mass[i], op.measures[i]
+        assert list(op.offdiag[i]) == list(row)    # same entries, same order
+        for j, b in row.items():
+            assert op.offdiag[i][j] == reference_ratio(b, m)
+        assert op.excess[i] == reference_ratio(kill, m)
+        assert op.diagonal[i] == reference_ratio(sum(row.values()) + kill, m)
+        nbrs = g.neighbors(x)
+        assert row == {op.index[y]: b for y, b in nbrs.items() if y in inside}
+        expected_kill = g.killing(x)
+        if op.kind is OperatorKind.DIRICHLET:
+            expected_kill = expected_kill + (g.row_sum(x) - sum(row.values()))
+        if is_exact(kill, expected_kill, *nbrs.values()):
+            assert kill == expected_kill
+            if op.kind is OperatorKind.DIRICHLET:
+                # the Dirichlet degree is the full degree of the graph
+                assert op.diagonal[i] == reference_ratio(g.row_sum(x) + g.killing(x), m)
+        else:
+            assert float(kill) == pytest.approx(float(expected_kill), rel=1e-15, abs=0)
+    assert op.scale == max(op.diagonal)
+
+
+def assemble_in_turn(g, subsets):
+    """Assemble both kinds on each subset in order, so lazy graphs serve
+    later subsets from rows cached by earlier ones."""
+    for subset in subsets:
+        for assemble in (assemble_dirichlet, assemble_neumann):
+            check_float_rows(assemble(g, subset))
+
+
+class TestFloatRows:
+    def test_comb_rectangles(self):
+        g = models.make_comb()
+        assemble_in_turn(g, [models.comb_rectangle(j) for j in (1, 2, 5, 8, 9, 12)])
+
+    @pytest.mark.parametrize("preset,top", [("bd:explosive", 480), ("bd:tail", 200),
+                                            ("bd:geo", 300)])
+    def test_chain_prefixes(self, preset, top):
+        g = models.PRESETS[preset]().graph
+        sizes = [1, 2, 3, 10, top // 2, top - 1, top]
+        assemble_in_turn(g, [list(range(s)) for s in sizes])
+
+    def test_random_float_graphs(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(20):
+            g = random_connected_graph(rng, 40, with_killing=True)
+            assemble_in_turn(g, nested_subsets(rng, g))
+
+    def test_lazy_row_sum_beyond_the_neighbours(self):
+        # row_sum_fn reports 1/3 more than the listed neighbours carry, so
+        # even interior Dirichlet rows keep a boundary term
+        def neighbors(x):
+            row = {x + 1: Fraction(1, x + 1)}
+            if x > 0:
+                row[x - 1] = Fraction(1, x)
+            return row
+
+        g = WeightedGraph.lazy(
+            neighbor_fn=neighbors, measure_fn=lambda x: Fraction(x + 1, 3),
+            killing_fn=lambda x: Fraction(1, x + 2),
+            row_sum_fn=lambda x: sum(neighbors(x).values()) + Fraction(1, 3))
+        assemble_in_turn(g, [list(range(s)) for s in (1, 4, 8, 12)])
+        d_op, n_op = assemble_dirichlet(g, range(8)), assemble_neumann(g, range(8))
+        assert all(d > n for d, n in zip(d_op.diagonal, n_op.diagonal))
+
+    def test_edge_leaving_the_subset_beyond_cap(self):
+        # b(x, x+1) = 2^(1100 x): only the Dirichlet restriction to {0, 1}
+        # carries the edge 1-2, which is beyond the float cap
+        def neighbors(x):
+            row = {x + 1: 2 ** (1100 * x)}
+            if x > 0:
+                row[x - 1] = 2 ** (1100 * (x - 1))
+            return row
+
+        g = WeightedGraph.lazy(neighbor_fn=neighbors, measure_fn=lambda x: 1)
+        check_float_rows(assemble_neumann(g, [0, 1]))
+        with pytest.raises(OverflowCapError, match="float cap"):
+            assemble_dirichlet(g, [0, 1])
