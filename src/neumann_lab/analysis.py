@@ -21,9 +21,12 @@ import numpy as np
 from .convergence import (
     DEFAULT_REFERENCE_TOL,
     GAP_FLOOR_ABSOLUTE,
+    _extended,
+    _self_consistent,
+    _truncation,
     dirichlet_resolvent_reference,
 )
-from .errors import InputError, NeumannLabError, TruncationInsufficientError
+from .errors import InputError, NeumannLabError
 from .graphs import Exhaustion, VertexFunction, WeightedGraph, formal_laplacian, weighted_degree
 from .operators import assemble_dirichlet, assemble_neumann
 from .semigroup import SemigroupEngine
@@ -120,6 +123,16 @@ def hop_distances(g: WeightedGraph, subset: Sequence[int], source: int) -> dict[
     return dist
 
 
+def _largest_two(g: WeightedGraph, exhaustion: Exhaustion, f: VertexFunction, action):
+    """``action(engine, vec)`` on the Neumann restrictions to the two largest
+    exhaustion sets, each extended by zero."""
+    outs = []
+    for subset in exhaustion.sets[-2:]:
+        op, engine, vec = _truncation(g, subset, f)
+        outs.append(_extended(op, action(engine, vec)))
+    return outs
+
+
 def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
                     x: int, kind: str = "dirichlet",
                     tol: float = DEFAULT_REFERENCE_TOL,
@@ -136,25 +149,14 @@ def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
     delta = VertexFunction.delta(g, x)
     if kind == "dirichlet":
         ref, info = dirichlet_resolvent_reference(g, exhaustion, alpha, delta, tol)
-        ref_map = {v: float(val) for v, val in ref.values.items()}
+        ref_map = ref.values
     elif kind == "neumann":
         if len(exhaustion.sets) < 2:
             raise InputError("neumann variant needs at least two exhaustion sets")
-        outs = []
-        for subset in exhaustion.sets[-2:]:
-            op = assemble_neumann(g, subset)
-            engine = SemigroupEngine(op)
-            u = engine.resolvent_vec(alpha, op.local_vector(delta))
-            outs.append({v: float(val) for v, val in zip(op.vertices, u)})
-        dist2 = math.sqrt(sum((outs[1].get(v, 0.0) - outs[0].get(v, 0.0)) ** 2
-                              * float(g.measure(v))
-                              for v in set(outs[0]) | set(outs[1])))
-        if dist2 > self_tol:
-            raise TruncationInsufficientError(
-                f"neumann resolvent reference not self-consistent ({dist2:.3e})",
-                last_increment=dist2)
-        ref_map = outs[1]
-        info = {"self_distance": dist2}
+        prev, ref_map = _largest_two(
+            g, exhaustion, delta, lambda engine, vec: engine.resolvent_vec(alpha, vec))
+        info = {"self_distance": _self_consistent(
+            g, prev, ref_map, self_tol, "neumann resolvent reference")}
     else:
         raise InputError(f"unknown kind {kind!r}")
 
@@ -205,21 +207,10 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
     d_ref, d_info = dirichlet_reference(g, exhaustion, t, one_x, tol)
     if len(exhaustion.sets) < 2:
         raise InputError("need at least two exhaustion sets")
-    heats = []
-    for subset in exhaustion.sets[-2:]:
-        op = assemble_neumann(g, subset)
-        engine = SemigroupEngine(op)
-        u = engine.heat_vec(t, op.local_vector(one_x))
-        heats.append({v: float(val) for v, val in zip(op.vertices, u)})
-    self_dist = math.sqrt(sum((heats[1].get(v, 0.0) - heats[0].get(v, 0.0)) ** 2
-                              * float(g.measure(v))
-                              for v in set(heats[0]) | set(heats[1])))
-    if self_dist > self_tol:
-        raise TruncationInsufficientError(
-            f"neumann heat reference not self-consistent ({self_dist:.3e})",
-            last_increment=self_dist)
-    n_map = heats[1]
-    d_map = {v: float(val) for v, val in d_ref.values.items()}
+    prev, n_map = _largest_two(g, exhaustion, one_x,
+                               lambda engine, vec: engine.heat_vec(t, vec))
+    self_dist = _self_consistent(g, prev, n_map, self_tol, "neumann heat reference")
+    d_map = d_ref.values
     gap = {}
     for v in set(n_map) | set(d_map):
         value = n_map.get(v, 0.0) - d_map.get(v, 0.0)
@@ -275,6 +266,8 @@ def uniform_l1_check(g: WeightedGraph, subset: Sequence[int], horizon: float,
         raise InputError("horizon must be nonnegative")
     if grid < 1:
         raise InputError("grid must have at least one time")
+    if kind not in ("dirichlet", "neumann"):
+        raise InputError(f"unknown kind {kind!r}")
     inside = set(subset)
     support = [v for v, val in phi.values.items() if val != 0]
     for v in support:

@@ -472,8 +472,8 @@ def comb_beta_extraction(depth: int, teeth: int | None = None,
     """Decay rate of the 1-harmonic function along the comb's base tooth.
 
     Solves (Delta + 1) u = 0 on a comb truncation with u(0,0) = 1 and decay
-    closure u = 0 outside, then fits the ratio u(k+1,0)/u(k,0) over the
-    middle third of the tooth.  The interior recursion on tooth 0 is
+    closure u = 0 outside (every edge's rate enters its row's pivot), then
+    fits the ratio u(k+1,0)/u(k,0) over the middle third of the tooth.  The interior recursion on tooth 0 is
     3u(k) = u(k-1) + u(k+1), so the ratios converge to the decaying root of
     x^2 - 3x + 1 = 0 regardless of the rest of the truncation; the window
     spread certifies stabilization.
@@ -492,17 +492,19 @@ def comb_beta_extraction(depth: int, teeth: int | None = None,
     others = [v for v in verts if v != origin]
     index = {v: i for i, v in enumerate(others)}
     offdiag = [dict() for _ in others]
-    excess = np.ones(len(others))  # alpha = 1
+    excess = np.ones(len(others))  # alpha = 1, plus the rates leaving `others`
     rhs = np.zeros(len(others))
     for i, v in enumerate(others):
         mv = g.measure(v)
         for w, b in g.neighbors(v).items():
             rate = float(Fraction(b) / Fraction(mv))
-            if w == origin:
-                rhs[i] += rate  # u(0,0) = 1 moved to the right-hand side
-            elif w in index:
+            if w in index:
                 offdiag[i][index[w]] = rate
-            # neighbors outside the truncation: decay closure u = 0
+            else:
+                # u(0,0) = 1 moves to the right-hand side; u = 0 outside
+                excess[i] += rate
+                if w == origin:
+                    rhs[i] += rate
     factors = gth_factor(offdiag, excess)
     solution = factors.solve_nonneg(rhs)
     tooth = [1.0] + [float(solution[index[models.comb_vertex_id(k, 0)]])

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .graphs import VertexFunction
 from .operators import assemble_neumann, dump_matrix
-from .semigroup import SemigroupEngine
 
 EXPERIMENTS = ("neumann-convergence", "dirichlet-gap", "l1-defect", "feller",
                "gap", "classify", "comb-beta", "uniform-l1", "ec")
@@ -233,42 +232,35 @@ def run(args) -> tuple[dict, object]:
     indices = (parse_truncations(args.truncations) if args.truncations
                else default_truncations(model))
     phi = VertexFunction.indicator(x)
+    on_exhaustion = args.experiment not in ("classify", "comb-beta", "ec")
+    ex = None
+    if on_exhaustion or args.dump_matrix and args.experiment == "ec":
+        ex = models.make_exhaustion(model, 0, indices=indices)
 
     if args.experiment == "neumann-convergence":
-        ex = models.make_exhaustion(model, 0, indices=indices)
         reference = None
         if args.ref is not None:
             if args.ref <= max(indices):
                 raise InputError("--ref must exceed the largest truncation")
             ref_ex = models.make_exhaustion(model, 0, indices=[args.ref])
-            op = assemble_neumann(g, ref_ex.sets[0])
-            vec = op.local_vector(phi)
-            out = SemigroupEngine(op).heat_vec(args.t, vec)
-            reference = VertexFunction({v: float(u) for v, u in zip(op.vertices, out)})
+            op, engine, vec = convergence._truncation(g, ref_ex.sets[0], phi)
+            reference = VertexFunction(convergence._extended(op, engine.heat_vec(args.t, vec)))
         report = convergence.neumann_convergence_experiment(
             g, ex, args.t, phi, reference=reference, alpha=args.alpha,
             probe=x, name=model.name)
-    elif args.experiment == "dirichlet-gap":
-        ex = models.make_exhaustion(model, 0, indices=indices)
+    elif args.experiment in ("dirichlet-gap", "l1-defect"):
+        experiment = (convergence.dirichlet_gap_experiment
+                      if args.experiment == "dirichlet-gap"
+                      else convergence.l1_defect_experiment)
         ref_ex = models.make_exhaustion(
             model, 0, indices=reference_indices(model, indices))
-        report = convergence.dirichlet_gap_experiment(
-            g, ex, args.t, phi, ref_exhaustion=ref_ex, tol=args.tol,
-            probe=x, name=model.name)
-    elif args.experiment == "l1-defect":
-        ex = models.make_exhaustion(model, 0, indices=indices)
-        ref_ex = models.make_exhaustion(
-            model, 0, indices=reference_indices(model, indices))
-        report = convergence.l1_defect_experiment(
-            g, ex, args.t, phi, ref_exhaustion=ref_ex, tol=args.tol,
-            probe=x, name=model.name)
+        report = experiment(g, ex, args.t, phi, ref_exhaustion=ref_ex, tol=args.tol,
+                            probe=x, name=model.name)
     elif args.experiment == "feller":
-        ex = models.make_exhaustion(model, 0, indices=indices)
         alpha = args.alpha if args.alpha is not None else 1.0
         report = analysis.feller_estimate(g, ex, alpha, x, kind=args.kind,
                                           tol=args.tol, name=model.name)
     elif args.experiment == "gap":
-        ex = models.make_exhaustion(model, 0, indices=indices)
         gap, info = analysis.semigroup_gap(g, ex, args.t, x, tol=args.tol)
         report = {"schema": 1, "experiment": "gap", "t": args.t, "source": x,
                   "gap_at_source": info["gap_at_source"],
@@ -285,7 +277,6 @@ def run(args) -> tuple[dict, object]:
             raise InputError("comb-beta runs on the comb model")
         report = birth_death.comb_beta_extraction(args.depth)
     elif args.experiment == "uniform-l1":
-        ex = models.make_exhaustion(model, 0, indices=indices)
         subset = ex.sets[-1]
         res = analysis.uniform_l1_check(g, subset, args.t, phi, grid=args.grid)
         report = {"schema": 1, "experiment": "uniform-l1", "T": args.t,
@@ -312,14 +303,13 @@ def run(args) -> tuple[dict, object]:
     payload["config"] = {
         "model": args.model, "experiment": args.experiment, "t": args.t,
         "alpha": args.alpha, "horizon": args.horizon,
-        "truncations": indices if args.experiment not in ("classify", "comb-beta", "ec") else None,
+        "truncations": indices if on_exhaustion else None,
         "tol": args.tol, "seed": args.seed, "depth": args.depth,
         "x": x, "grid": args.grid, "kind": args.kind, "ref": args.ref,
     }
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
-    if args.dump_matrix and args.experiment not in ("classify", "comb-beta"):
-        ex = models.make_exhaustion(model, 0, indices=indices)
+    if args.dump_matrix and ex is not None:
         payload["matrix_dump"] = dump_matrix(assemble_neumann(g, ex.sets[-1]))
     return payload, report
 

@@ -53,14 +53,50 @@ def _ordered_map(fn: Callable, items: Sequence) -> list:
     return [fn(x) for x in items]
 
 
-def _norms(diff: dict[int, float], graph: WeightedGraph, probe: int):
-    l1 = sum(abs(v) * float(graph.measure(x)) for x, v in diff.items())
-    l2 = math.sqrt(sum(v * v * float(graph.measure(x)) for x, v in diff.items()))
+def _extended(op, vec) -> dict[int, float]:
+    return {x: float(v) for x, v in zip(op.vertices, vec)}
+
+
+def _truncation(g: WeightedGraph, subset, f: VertexFunction, dirichlet: bool = False):
+    """One truncation step: the restriction to ``subset``, its engine and f
+    as a local vector (``local_vector`` rejects f supported outside)."""
+    assemble = assemble_dirichlet if dirichlet else assemble_neumann
+    op = assemble(g, subset)
+    return op, SemigroupEngine(op), op.local_vector(f)
+
+
+def _distance(a: dict[int, float], b: dict[int, float], g: WeightedGraph, probe):
+    """l1(m), l2(m) and |a - b| at the probe, both extended by zero."""
+    diff = {x: a.get(x, 0.0) - b.get(x, 0.0) for x in set(a) | set(b)}
+    l1 = sum(abs(v) * float(g.measure(x)) for x, v in diff.items())
+    l2 = math.sqrt(sum(v * v * float(g.measure(x)) for x, v in diff.items()))
     return l1, l2, abs(diff.get(probe, 0.0))
 
 
-def _extended(op, vec) -> dict[int, float]:
-    return {x: float(v) for x, v in zip(op.vertices, vec)}
+def _curve(maps, ref_map: dict[int, float], g: WeightedGraph, probe):
+    """The l1, l2 and pointwise distance lists of each map to the reference."""
+    rows = [_distance(m, ref_map, g, probe) for m in maps]
+    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+
+
+def _self_consistent(g: WeightedGraph, prev: dict[int, float], last: dict[int, float],
+                     tol: float, what: str) -> float:
+    """Gate for a Neumann reference taken from the largest truncation, which
+    has no monotonicity: its l2(m) distance to the previous iterate must not
+    exceed tol.  Returns that distance."""
+    _, dist, _ = _distance(last, prev, g, None)
+    if dist > tol:
+        raise TruncationInsufficientError(
+            f"{what} not self-consistent: l2 distance {dist:.3e} above {tol:.3e}",
+            last_increment=dist)
+    return dist
+
+
+def _check_phi(phi: VertexFunction):
+    if any(float(v) < 0 for v in phi.values.values()):
+        raise InputError("phi must be nonnegative")
+    if all(float(v) == 0 for v in phi.values.values()):
+        raise InputError("phi must be nonzero")
 
 
 @dataclass
@@ -139,22 +175,23 @@ class ConvergenceReport:
 
 
 def _monotone_limit(g: WeightedGraph, exhaustion: Exhaustion, tol: float,
-                    apply_fn, what: str):
+                    f: VertexFunction, action, what: str):
     """Shared monotone-truncation loop for Dirichlet heat and resolvents.
 
-    ``apply_fn(subset) -> (vertices, values)`` must produce entrywise
-    nondecreasing extensions by zero.  Stops when the l1 increment drops
-    below tol; raises with the last increment when the exhaustion ends
-    first.
+    ``action(engine, vec)`` applied to f on each Dirichlet truncation must
+    give entrywise nondecreasing extensions by zero.  Stops when the l1
+    increment drops below tol and returns the last extension (float values,
+    zeros dropped) with an info dict; raises with the last increment when the
+    exhaustion ends first.
     """
     prev: dict[int, float] | None = None
     increment = math.inf
     used = 0
     clamps = 0
     for k, subset in enumerate(exhaustion.sets):
-        vertices, values, clamped = apply_fn(subset)
-        clamps += clamped
-        current = {x: float(v) for x, v in zip(vertices, values)}
+        op, engine, vec = _truncation(g, subset, f, dirichlet=True)
+        current = _extended(op, action(engine, vec))
+        clamps += engine.telemetry.clamped_entries
         if prev is not None:
             increment = 0.0
             for x, v_old in prev.items():
@@ -168,8 +205,9 @@ def _monotone_limit(g: WeightedGraph, exhaustion: Exhaustion, tol: float,
                 if x not in prev:
                     increment += abs(v_new) * float(g.measure(x))
             if increment < tol:
-                return current, {"sets_used": k + 1, "last_increment": increment,
-                                 "clamped_entries": clamps}
+                limit = VertexFunction({x: v for x, v in current.items() if v != 0.0})
+                return limit, {"sets_used": k + 1, "last_increment": increment,
+                               "clamped_entries": clamps}
         prev = current
         used = k + 1
     raise TruncationInsufficientError(
@@ -190,16 +228,9 @@ def dirichlet_reference(g: WeightedGraph, exhaustion: Exhaustion, t: float,
         raise InputError("t must be nonnegative")
     if any(float(v) < 0 for v in phi.values.values()):
         raise InputError("phi must be nonnegative")
-
-    def apply_fn(subset):
-        op = assemble_dirichlet(g, subset)
-        engine = SemigroupEngine(op)
-        vec = op.local_vector(_restrict_ok(phi, subset))
-        out = engine.heat_vec(t, vec)
-        return op.vertices, out, engine.telemetry.clamped_entries
-
-    limit, info = _monotone_limit(g, exhaustion, tol, apply_fn, "dirichlet heat reference")
-    return VertexFunction({x: v for x, v in limit.items() if v != 0.0}), info
+    return _monotone_limit(g, exhaustion, tol, phi,
+                           lambda engine, vec: engine.heat_vec(t, vec),
+                           "dirichlet heat reference")
 
 
 def dirichlet_resolvent_reference(g: WeightedGraph, exhaustion: Exhaustion,
@@ -210,25 +241,9 @@ def dirichlet_resolvent_reference(g: WeightedGraph, exhaustion: Exhaustion,
         raise InputError("alpha must be positive")
     if any(float(v) < 0 for v in f.values.values()):
         raise InputError("f must be nonnegative")
-
-    def apply_fn(subset):
-        op = assemble_dirichlet(g, subset)
-        engine = SemigroupEngine(op)
-        vec = op.local_vector(_restrict_ok(f, subset))
-        out = engine.resolvent_vec(alpha, vec)
-        return op.vertices, out, 0
-
-    limit, info = _monotone_limit(g, exhaustion, tol, apply_fn,
-                                  "dirichlet resolvent reference")
-    return VertexFunction({x: v for x, v in limit.items() if v != 0.0}), info
-
-
-def _restrict_ok(phi: VertexFunction, subset) -> VertexFunction:
-    inside = set(subset)
-    missing = [x for x, v in phi.values.items() if v != 0 and x not in inside]
-    if missing:
-        raise InputError(f"initial data supported outside truncation at {missing[:3]}")
-    return phi
+    return _monotone_limit(g, exhaustion, tol, f,
+                           lambda engine, vec: engine.resolvent_vec(alpha, vec),
+                           "dirichlet resolvent reference")
 
 
 def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
@@ -257,9 +272,7 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
     probe = probe if probe is not None else sets[0][0]
 
     def one(subset):
-        op = assemble_neumann(g, subset)
-        engine = SemigroupEngine(op)
-        vec = op.local_vector(_restrict_ok(phi, subset))
+        op, engine, vec = _truncation(g, subset, phi)
         heat = _extended(op, engine.heat_vec(t, vec))
         pairing = None
         if alpha is not None:
@@ -268,40 +281,20 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
         return heat, pairing, engine.telemetry.clamped_entries
 
     results = _ordered_map(one, iterate_sets)
+    heats = [heat for heat, _, _ in results]
 
     if reference is None:
-        ref_heat, _, ref_clamps = one(ref_set)
-        last_heat = results[-1][0]
-        diff = {x: ref_heat.get(x, 0.0) - last_heat.get(x, 0.0)
-                for x in set(ref_heat) | set(last_heat)}
-        _, self_dist, _ = _norms(diff, g, probe)
-        if self_dist > self_tol:
-            raise TruncationInsufficientError(
-                f"neumann reference not self-consistent: l2 distance {self_dist:.3e} "
-                f"above {self_tol:.3e}", last_increment=self_dist)
-        ref_map = ref_heat
+        ref_map, _, ref_clamps = one(ref_set)
+        _self_consistent(g, heats[-1], ref_map, self_tol, "neumann reference")
         ref_kind = "neumann-self-consistent"
     else:
-        largest = set(iterate_sets[-1])
-        ref_support = set(reference.values)
-        if not largest <= ref_support:
+        if not set(iterate_sets[-1]) <= set(reference.values):
             raise InputError("reference does not cover the largest iterate set")
         ref_map = {x: float(v) for x, v in reference.values.items()}
         ref_kind = "explicit-reference"
         ref_clamps = 0
 
-    l1s, l2s, points, pairings = [], [], [], []
-    clamps = 0
-    for heat, pairing, clamped in results:
-        clamps += clamped
-        diff = {x: heat.get(x, 0.0) - ref_map.get(x, 0.0)
-                for x in set(heat) | set(ref_map)}
-        l1, l2, pt = _norms(diff, g, probe)
-        l1s.append(l1)
-        l2s.append(l2)
-        points.append(pt)
-        pairings.append(pairing)
-    has_pairings = alpha is not None
+    l1s, l2s, points = _curve(heats, ref_map, g, probe)
     return ConvergenceReport(
         experiment="neumann-convergence",
         reference_kind=ref_kind,
@@ -311,9 +304,9 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
         l2_distance=l2s,
         pointwise_distance=points,
         alpha=alpha,
-        quadratic_pairings=pairings if has_pairings else None,
+        quadratic_pairings=None if alpha is None else [p for _, p, _ in results],
         metadata={"graph": name or g.name, "probe": probe,
-                  "clamped_entries": clamps + ref_clamps,
+                  "clamped_entries": sum(c for _, _, c in results) + ref_clamps,
                   "self_tol": self_tol},
     )
 
@@ -331,31 +324,17 @@ def dirichlet_gap_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     of uniqueness.  The decision threshold max(10 tol, 1e-6) is recorded
     with the report.
     """
-    if all(float(v) == 0 for v in phi.values.values()):
-        raise InputError("phi must be nonzero")
-    if any(float(v) < 0 for v in phi.values.values()):
-        raise InputError("phi must be nonnegative")
+    _check_phi(phi)
     ref, ref_info = dirichlet_reference(g, ref_exhaustion or exhaustion, t, phi, tol)
     probe = probe if probe is not None else exhaustion.sets[0][0]
-    ref_map = {x: float(v) for x, v in ref.values.items()}
 
     def one(subset):
-        op = assemble_neumann(g, subset)
-        engine = SemigroupEngine(op)
-        vec = op.local_vector(_restrict_ok(phi, subset))
+        op, engine, vec = _truncation(g, subset, phi)
         return _extended(op, engine.heat_vec(t, vec)), engine.telemetry.clamped_entries
 
     results = _ordered_map(one, exhaustion.sets)
-    l1s, l2s, points = [], [], []
-    clamps = ref_info["clamped_entries"]
-    for heat, clamped in results:
-        clamps += clamped
-        diff = {x: heat.get(x, 0.0) - ref_map.get(x, 0.0)
-                for x in set(heat) | set(ref_map)}
-        l1, l2, pt = _norms(diff, g, probe)
-        l1s.append(l1)
-        l2s.append(l2)
-        points.append(pt)
+    l1s, l2s, points = _curve([heat for heat, _ in results], ref.values, g, probe)
+    clamps = ref_info["clamped_entries"] + sum(c for _, c in results)
     threshold = max(10 * tol, GAP_FLOOR_ABSOLUTE)
     return ConvergenceReport(
         experiment="dirichlet-gap",
@@ -395,50 +374,32 @@ def l1_defect_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
                 raise InputError(
                     "stochastic-completeness experiment requires killing c = 0 "
                     f"(violated at vertex {x})")
-    if any(float(v) < 0 for v in phi.values.values()):
-        raise InputError("phi must be nonnegative")
-    if all(float(v) == 0 for v in phi.values.values()):
-        raise InputError("phi must be nonzero")
-
+    _check_phi(phi)
     ref, ref_info = dirichlet_reference(g, ref_ex, t, phi, tol)
-    ref_map = {x: float(v) for x, v in ref.values.items()}
+    ref_map = ref.values
     phi_l1 = phi.norm(g, 1)
-    ref_l1 = sum(abs(v) * float(g.measure(x)) for x, v in ref_map.items())
-    defect = phi_l1 - ref_l1
+    defect = phi_l1 - sum(abs(v) * float(g.measure(x)) for x, v in ref_map.items())
     probe = probe if probe is not None else exhaustion.sets[0][0]
 
     def one(subset):
-        d_op = assemble_dirichlet(g, subset)
-        n_op = assemble_neumann(g, subset)
-        d_engine = SemigroupEngine(d_op)
-        n_engine = SemigroupEngine(n_op)
-        vec_d = d_op.local_vector(_restrict_ok(phi, subset))
-        u_d = d_engine.heat_vec(t, vec_d)
-        u_n = n_engine.heat_vec(t, n_op.local_vector(phi))
-        heat_n = _extended(n_op, u_n)
-        d_l1 = float((np.abs(u_d) * d_op.measure_vector).sum())
-        clamped = d_engine.telemetry.clamped_entries + n_engine.telemetry.clamped_entries
-        return heat_n, d_l1, clamped
+        d_op, d_engine, d_vec = _truncation(g, subset, phi, dirichlet=True)
+        d_l1 = float((np.abs(d_engine.heat_vec(t, d_vec)) * d_op.measure_vector).sum())
+        op, engine, vec = _truncation(g, subset, phi)
+        heat = _extended(op, engine.heat_vec(t, vec))
+        clamped = d_engine.telemetry.clamped_entries + engine.telemetry.clamped_entries
+        return heat, 2.0 * (phi_l1 - d_l1), clamped
 
     results = _ordered_map(one, exhaustion.sets)
-    l1s, l2s, points, bounds = [], [], [], []
-    clamps = ref_info["clamped_entries"]
-    for heat_n, d_l1, clamped in results:
-        clamps += clamped
-        diff = {x: heat_n.get(x, 0.0) - ref_map.get(x, 0.0)
-                for x in set(heat_n) | set(ref_map)}
-        l1, l2, pt = _norms(diff, g, probe)
-        bound = 2.0 * (phi_l1 - d_l1)
+    l1s, l2s, points = _curve([heat for heat, _, _ in results], ref_map, g, probe)
+    bounds = [bound for _, bound, _ in results]
+    clamps = ref_info["clamped_entries"] + sum(c for _, _, c in results)
+    for l1, bound in zip(l1s, bounds):
         if l1 > bound + 1e-9:
             raise NeumannLabError(
                 f"l1 distance {l1!r} exceeds its theoretical bound {bound!r}")
         if l1 < defect - 1e-9:
             raise NeumannLabError(
                 f"l1 distance {l1!r} fell below the stochastic defect {defect!r}")
-        l1s.append(l1)
-        l2s.append(l2)
-        points.append(pt)
-        bounds.append(bound)
     return ConvergenceReport(
         experiment="l1-defect",
         reference_kind="dirichlet-limit",

@@ -369,7 +369,7 @@ def is_connected(g: WeightedGraph, subset: Iterable[int]) -> bool:
 #   E <id1> <id2> <b>
 #
 # Values are parsed as Fractions when they contain '/' or are integers,
-# as floats otherwise.
+# as floats otherwise; nan, inf and floats that overflow are rejected.
 
 
 def _parse_value(tok: str):
@@ -378,12 +378,16 @@ def _parse_value(tok: str):
     try:
         return int(tok)
     except ValueError:
-        return float(tok)
+        value = float(tok)
+    if not math.isfinite(value):
+        shown = tok if len(tok) <= 24 else tok[:20] + "..."
+        raise InputError(f"value {shown!r} is not a finite number")
+    return value
 
 
 def parse_graph_file(text: str, name: str = "file") -> WeightedGraph:
-    """Parse the line-oriented graph format; duplicate edges, nonpositive m
-    and negative b or c are rejected."""
+    """Parse the line-oriented graph format; duplicate edges, nonpositive m,
+    negative b or c and non-finite values are rejected."""
     measure: dict[int, object] = {}
     killing: dict[int, object] = {}
     edges: dict[tuple[int, int], object] = {}

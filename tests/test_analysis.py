@@ -56,6 +56,16 @@ class TestFeller:
         assert rep.verdict_hint == "floor-observed"
         assert rep.sup_outside[-2] > 0.1
 
+    def test_neumann_gate_reports_its_distance(self):
+        m = models.PRESETS["bd:geo"]()
+        ex = models.make_exhaustion(m, 0, indices=[10, 20, 30, 40, 50, 60])
+        rep = feller_estimate(m.graph, ex, 1.0, 0, kind="neumann")
+        dist = rep.metadata["reference_info"]["self_distance"]
+        assert 0 < dist <= 1e-6
+        with pytest.raises(TruncationInsufficientError, match="not self-consistent") as exc:
+            feller_estimate(m.graph, ex, 1.0, 0, kind="neumann", self_tol=dist / 2)
+        assert exc.value.last_increment == dist
+
     def test_source_must_be_in_first_set(self):
         m = models.PRESETS["bd:unit"]()
         ex = models.make_exhaustion(m, 0, indices=[3, 6])
@@ -95,6 +105,17 @@ class TestSemigroupGap:
             lap = float(formal_laplacian(m.graph, gaps[1.0], r))
             worst = max(worst, abs(lap + dudt))
         assert worst <= 1e-7
+
+
+    def test_neumann_gate_reports_its_distance(self):
+        m = models.PRESETS["bd:unit"]()
+        ex = models.make_exhaustion(m, 0, indices=list(range(10, 101, 10)))
+        _, info = semigroup_gap(m.graph, ex, 1.0, 0)
+        dist = info["self_distance"]
+        assert 0 < dist <= 1e-6
+        with pytest.raises(TruncationInsufficientError, match="not self-consistent") as exc:
+            semigroup_gap(m.graph, ex, 1.0, 0, self_tol=dist / 2)
+        assert exc.value.last_increment == dist
 
 
 class TestMinimumPrinciple:
@@ -178,6 +199,12 @@ class TestUniformL1:
             res = uniform_l1_check(m.graph, subset, 0.5,
                                    VertexFunction.indicator(0), grid=16, kind=kind)
             assert res.value <= res.bound + 1e-9
+
+    def test_rejects_unknown_kind(self):
+        m = models.PRESETS["bd:unit"]()
+        with pytest.raises(InputError, match="unknown kind"):
+            uniform_l1_check(m.graph, list(range(5)), 1.0,
+                             VertexFunction.indicator(0), kind="neuman")
 
     def test_support_neighborhood_must_fit(self):
         m = models.PRESETS["bd:unit"]()

@@ -223,6 +223,20 @@ class TestCombBeta:
         res = comb_beta_extraction(30)
         assert res.beta == pytest.approx(decaying, abs=1e-6)
 
+    def test_tooth_ratios_match_independent_solve(self):
+        # with u(0,0) = 1 fixed, tooth 0 is cut off from the other teeth, so
+        # its values solve 3u_k - u_{k-1} - u_{k+1} = 0 with u_0 = 1 and the
+        # decay closure u_{depth+1} = 0 exactly
+        depth = 12
+        res = comb_beta_extraction(depth, spread_tol=1)
+        A = 3.0 * np.eye(depth) - np.eye(depth, k=1) - np.eye(depth, k=-1)
+        rhs = np.zeros(depth)
+        rhs[0] = 1.0
+        tooth = np.concatenate(([1.0], np.linalg.solve(A, rhs)))
+        lo, hi = res.window
+        expected = [tooth[k + 1] / tooth[k] for k in range(lo, hi)]
+        assert res.ratios == pytest.approx(expected, rel=1e-12)
+
     def test_too_shallow_reports_spread(self):
         with pytest.raises(TruncationInsufficientError) as exc:
             comb_beta_extraction(9)

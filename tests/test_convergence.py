@@ -220,6 +220,36 @@ class TestL1Defect:
             l1_defect_experiment(g, ex, 1.0, VertexFunction.indicator(0))
 
 
+class TestSupportOutsideTruncation:
+    """phi supported outside the smallest truncation is bad input for every
+    experiment; the first restriction rejects it."""
+
+    @staticmethod
+    def case():
+        g = path_graph(6)
+        return g, full_exhaustion(g, [2, 4]), VertexFunction.indicator(3)
+
+    def test_dirichlet_reference(self):
+        g, ex, phi = self.case()
+        with pytest.raises(InputError, match="supported outside"):
+            dirichlet_reference(g, ex, 1.0, phi)
+
+    def test_neumann_convergence(self):
+        g, ex, phi = self.case()
+        with pytest.raises(InputError, match="supported outside"):
+            neumann_convergence_experiment(g, ex, 1.0, phi)
+
+    def test_dirichlet_gap(self):
+        g, ex, phi = self.case()
+        with pytest.raises(InputError, match="supported outside"):
+            dirichlet_gap_experiment(g, ex, 1.0, phi)
+
+    def test_l1_defect(self):
+        g, ex, phi = self.case()
+        with pytest.raises(InputError, match="supported outside"):
+            l1_defect_experiment(g, ex, 1.0, phi)
+
+
 class TestSandwich:
     def test_dirichlet_between_nothing_and_neumann(self):
         # P^D_k <= min(P^N_k, P^D_ref) entrywise for nonnegative data

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neumann_lab.errors import InputError
 from neumann_lab.graphs import (
@@ -207,6 +209,51 @@ class TestFileFormat:
             parse_graph_file("V 0 1 -1\n")
         with pytest.raises(InputError):
             parse_graph_file("V 0 1 0\nV 1 1 0\nE 0 1 -2\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "9" * 5000],
+                             ids=["nan", "inf", "-inf", "1e400", "5000-digit-int"])
+    def test_rejects_non_finite_values(self, value):
+        for text, line in ((f"V 0 {value} 0\n", 1),
+                           (f"V 0 1 {value}\n", 1),
+                           (f"V 0 1 0\nV 1 1 0\nE 0 1 {value}\n", 3)):
+            with pytest.raises(InputError, match=f"line {line}: value .* is not a finite"):
+                parse_graph_file(text)
+
+
+# tokens a graph file may hold, valid or not, including values that overflow
+# float (1e400, a 5000-digit integer) or exceed int()'s digit limit
+_TOKENS = st.sampled_from([
+    "0", "1", "-1", "0.5", "-0.0", "3/4", "1/0", "-2/3", "1_000", "1e5", "1e-400",
+    "nan", "NaN", "inf", "-inf", "Infinity", "1e400", "9" * 5000, "1/" + "7" * 5000,
+    "x", "0x10", "1.5/2", "#", "V", "E",
+])
+_IDS = st.integers(0, 3).map(str)
+_LINES = st.one_of(
+    st.tuples(st.just("V"), _IDS, _TOKENS, _TOKENS).map(" ".join),
+    st.tuples(st.just("E"), _IDS, _IDS, _TOKENS).map(" ".join),
+    st.lists(st.one_of(_TOKENS, _IDS), max_size=5).map(" ".join),
+    st.text(max_size=12),
+)
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, Fraction)) or math.isfinite(value)
+
+
+@settings(max_examples=300)
+@given(st.lists(_LINES, max_size=8).map("\n".join))
+def test_parse_graph_file_fuzz(text):
+    """Any text is rejected with InputError or gives finite, admissible data."""
+    try:
+        g = parse_graph_file(text)
+    except InputError:
+        return
+    for x in g.vertices():
+        m, c = g.measure(x), g.killing(x)
+        assert _finite(m) and m > 0
+        assert _finite(c) and c >= 0
+        for b in g.neighbors(x).values():
+            assert _finite(b) and b >= 0
 
 
 class TestLazyGraph:
