@@ -116,8 +116,8 @@ def hop_distances(g: WeightedGraph, subset: Sequence[int], source: int) -> dict[
     queue = deque([source])
     while queue:
         x = queue.popleft()
-        for y, b in g.neighbors(x).items():
-            if b > 0 and y in inside and y not in dist:
+        for y in g.neighbors(x):
+            if y in inside and y not in dist:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
@@ -201,12 +201,12 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
     """
     if t <= 0:
         raise InputError("t must be positive")
+    if len(exhaustion.sets) < 2:
+        raise InputError("need at least two exhaustion sets")
     from .convergence import dirichlet_reference
 
     one_x = VertexFunction.indicator(x)
     d_ref, d_info = dirichlet_reference(g, exhaustion, t, one_x, tol)
-    if len(exhaustion.sets) < 2:
-        raise InputError("need at least two exhaustion sets")
     prev, n_map = _largest_two(g, exhaustion, one_x,
                                lambda engine, vec: engine.heat_vec(t, vec))
     self_dist = _self_consistent(g, prev, n_map, self_tol, "neumann heat reference")
@@ -247,7 +247,7 @@ def ec_constant(g: WeightedGraph, window: Sequence[int]) -> float:
     for v in verts:
         mv = float(g.measure(v))
         for w, b in g.neighbors(v).items():
-            if w in inside and b > 0:
+            if w in inside:
                 best = max(best, float(b) / (mv * float(g.measure(w))))
     return best
 
@@ -273,8 +273,8 @@ def uniform_l1_check(g: WeightedGraph, subset: Sequence[int], horizon: float,
     for v in support:
         if v not in inside:
             raise InputError(f"phi supported outside the subset at {v}")
-        for w, b in g.neighbors(v).items():
-            if b > 0 and w not in inside:
+        for w in g.neighbors(v):
+            if w not in inside:
                 raise InputError(
                     f"phi's neighborhood leaves the subset at {w}; enlarge the subset")
     assemble = assemble_neumann if kind == "neumann" else assemble_dirichlet

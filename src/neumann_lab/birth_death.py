@@ -126,6 +126,15 @@ def convergent(note: str = "", *, power: float | None = None,
     return SeriesCertificate("convergent", method, note, power, ratio)
 
 
+def _float_or_none(value) -> float | None:
+    """float(value), or None for an exact value beyond float range (reports
+    write it as JSON null and as an empty CSV cell)."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 @dataclass(frozen=True)
 class SeriesRecord:
     """Partial sums of a positive series plus its certified verdict."""
@@ -174,7 +183,7 @@ class BdClassification:
     def to_json_dict(self) -> dict:
         def series(rec: SeriesRecord) -> dict:
             return {"name": rec.name,
-                    "last_partial_sum": float(rec.last),
+                    "last_partial_sum": _float_or_none(rec.last),
                     "verdict": rec.verdict,
                     "certificate": None if rec.certificate is None else {
                         "verdict": rec.certificate.verdict,
@@ -188,7 +197,8 @@ class BdClassification:
             "experiment": "classify",
             "chain": self.chain,
             "horizon": self.horizon,
-            "measure_total": None if self.measure_total is None else float(self.measure_total),
+            "measure_total": (None if self.measure_total is None
+                              else _float_or_none(self.measure_total)),
             "measure_verdict": self.measure_verdict,
             "series_inv_b": series(self.series_inv_b),
             "series_tail": series(self.series_tail),

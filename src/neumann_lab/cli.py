@@ -195,21 +195,12 @@ def _report_files(report) -> tuple[str | None, str | None]:
         return _csv_text(cols, rows), _tidy_text(tidy)
     if isinstance(report, birth_death.BdClassification):
         cols = ("r", "inv_b_partial", "tail_partial", "hamburger_partial")
-        n = len(report.series_inv_b.partial_sums)
-        rows = []
-        for r in range(n):
-            tail = (float(report.series_tail.partial_sums[r])
-                    if r < len(report.series_tail.partial_sums) else None)
-            hamb = (float(report.hamburger.partial_sums[r])
-                    if r < len(report.hamburger.partial_sums) else None)
-            rows.append((r, float(report.series_inv_b.partial_sums[r]), tail, hamb))
-        tidy = []
-        for r, ib, tl, hb in rows:
-            tidy.append((r, "inv_b_partial", ib))
-            if tl is not None:
-                tidy.append((r, "tail_partial", tl))
-            if hb is not None:
-                tidy.append((r, "hamburger_partial", hb))
+        series = (report.series_inv_b, report.series_tail, report.hamburger)
+        rows = [(r, *(birth_death._float_or_none(s.partial_sums[r])
+                      if r < len(s.partial_sums) else None for s in series))
+                for r in range(len(report.series_inv_b.partial_sums))]
+        tidy = [(row[0], metric, value) for row in rows
+                for metric, value in zip(cols[1:], row[1:]) if value is not None]
         return _csv_text(cols, rows), _tidy_text(tidy)
     if isinstance(report, birth_death.CombBetaResult):
         lo = report.window[0]

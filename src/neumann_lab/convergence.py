@@ -182,8 +182,11 @@ def _monotone_limit(g: WeightedGraph, exhaustion: Exhaustion, tol: float,
     give entrywise nondecreasing extensions by zero.  Stops when the l1
     increment drops below tol and returns the last extension (float values,
     zeros dropped) with an info dict; raises with the last increment when the
-    exhaustion ends first.
+    exhaustion ends first.  A single set gives no increment at all, so it is
+    rejected before any solve.
     """
+    if len(exhaustion.sets) < 2:
+        raise InputError(f"{what} needs at least two exhaustion sets")
     prev: dict[int, float] | None = None
     increment = math.inf
     used = 0
@@ -271,7 +274,7 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
         iterate_sets, ref_set = sets, None
     probe = probe if probe is not None else sets[0][0]
 
-    def one(subset):
+    def one(subset, alpha=alpha):
         op, engine, vec = _truncation(g, subset, phi)
         heat = _extended(op, engine.heat_vec(t, vec))
         pairing = None
@@ -284,7 +287,8 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
     heats = [heat for heat, _, _ in results]
 
     if reference is None:
-        ref_map, _, ref_clamps = one(ref_set)
+        # the reference set has no pairing row, so it skips the resolvent
+        ref_map, _, ref_clamps = one(ref_set, alpha=None)
         _self_consistent(g, heats[-1], ref_map, self_tol, "neumann reference")
         ref_kind = "neumann-self-consistent"
     else:

@@ -5,12 +5,15 @@ symmetric nonnegative edge weights b with zero diagonal and finite row sums,
 and a nonnegative killing term c.  Vertices are opaque integer ids; models
 that need structured indices (e.g. a two-dimensional comb) attach a label map.
 
-Finite graphs store each undirected edge once and mirror it on read, which
-makes the symmetry b(x,y) = b(y,x) hold by construction.  Infinite graphs are
-described by neighbor/measure/killing callbacks and are only ever
-materialized through an :class:`Exhaustion`; each vertex's callback results
-are cached on first use, so every truncation reads them without
-re-evaluating the callbacks.
+Every graph keeps one store per vertex: its neighbour row (positive weights
+only), its measure and its killing.  A finite graph fills the store at
+construction and writes each undirected edge into both endpoints' rows, so
+the symmetry b(x,y) = b(y,x) holds by construction.  An infinite graph is
+described by neighbour/measure/killing callbacks and is only ever
+materialized through an :class:`Exhaustion`; it fills the store from its
+callbacks on a vertex's first use, with the same checks (m > 0, c >= 0), so
+every truncation reads the stored values without re-evaluating the
+callbacks.  A vertex's degree is the sum of its row.
 
 Weights may be ``int``, :class:`~fractions.Fraction`, or ``float``.  Exact
 rational weights survive untouched until operator assembly, which matters for
@@ -47,38 +50,41 @@ def _as_number(x):
     raise InputError(f"unsupported numeric type {type(x).__name__}")
 
 
-class WeightedGraph:
-    """Immutable weighted graph, either finite (explicit) or lazy (callbacks).
+def _checked_measure(x: int, m):
+    if not m > 0:  # also rejects nan
+        raise InputError(f"nonpositive measure m({x}) = {m}")
+    return m
 
-    Parameters are not passed directly; use :meth:`from_data` for finite
-    graphs and :meth:`lazy` for infinite ones.
+
+def _checked_killing(x: int, c):
+    if c < 0:
+        raise InputError(f"negative killing c({x}) = {c}")
+    return c
+
+
+class WeightedGraph:
+    """Immutable weighted graph with one per-vertex store.
+
+    The store holds each vertex's neighbour row ``{y: b(x,y)}`` (positive
+    weights only), its measure and its killing.  :meth:`from_data` fills it
+    completely for a finite graph; a lazy graph (:meth:`lazy`) fills it from
+    its callbacks the first time a vertex is used.
     """
 
-    def __init__(self, *, _edges=None, _measure=None, _killing=None,
+    def __init__(self, *, _rows=None, _measures=None, _killings=None,
                  _neighbor_fn=None, _measure_fn=None, _killing_fn=None,
-                 _row_sum_fn=None, _label_fn=None, name=""):
+                 _label_fn=None, name=""):
         self.name = name
-        self._edges = _edges          # {(min,max): b} for finite graphs
-        self._adj = None              # {x: {y: b}} mirror, finite only
-        self._measure = _measure
-        self._killing = _killing
+        self._rows: dict[int, dict[int, object]] = {} if _rows is None else _rows
+        self._measures: dict[int, object] = {} if _measures is None else _measures
+        self._killings: dict[int, object] = {} if _killings is None else _killings
         self._neighbor_fn = _neighbor_fn
         self._measure_fn = _measure_fn
         self._killing_fn = _killing_fn
-        self._row_sum_fn = _row_sum_fn
         self._label_fn = _label_fn
-        # lazy graphs only: callback results per vertex, filled on first use,
-        # and the float conversions operator assembly derives from them
-        self._rows: dict[int, dict[int, object]] = {}
-        self._measures: dict[int, object] = {}
-        self._killings: dict[int, object] = {}
+        # lazy graphs only: the float conversions operator assembly derives
+        # from the rows of vertices interior to a subset
         self._interior_rows: dict[int, object] = {}
-        if _edges is not None:
-            adj = {x: {} for x in _measure}
-            for (x, y), b in _edges.items():
-                adj[x][y] = b
-                adj[y][x] = b
-            self._adj = adj
 
     # -- construction ---------------------------------------------------
 
@@ -91,7 +97,8 @@ class WeightedGraph:
 
         ``edges`` maps unordered pairs to positive weights; supplying the
         same pair twice (in either orientation) is rejected, as are loops,
-        nonpositive measures and negative weights.
+        nonpositive measures and negative weights.  Each edge is stored in
+        both endpoints' rows, so b(x,y) = b(y,x) holds by construction.
         """
         killing = dict(killing or {})
         canon: dict[tuple[int, int], object] = {}
@@ -107,68 +114,64 @@ class WeightedGraph:
             if key in canon:
                 raise InputError(f"duplicate edge {key}")
             canon[key] = b
-        m = {}
-        for x, mx in measure.items():
-            mx = _as_number(mx)
-            if mx <= 0:
-                raise InputError(f"nonpositive measure m({x}) = {mx}")
-            m[x] = mx
-        for (x, y) in canon:
+        m = {x: _checked_measure(x, _as_number(mx)) for x, mx in measure.items()}
+        rows: dict[int, dict[int, object]] = {x: {} for x in m}
+        for (x, y), b in canon.items():
             if x not in m or y not in m:
                 raise InputError(f"edge ({x},{y}) touches unknown vertex")
+            rows[x][y] = b
+            rows[y][x] = b
         for x, cx in killing.items():
-            cx = _as_number(cx)
-            if cx < 0:
-                raise InputError(f"negative killing c({x}) = {cx}")
+            _checked_killing(x, _as_number(cx))
             if x not in m:
                 raise InputError(f"killing on unknown vertex {x}")
-        return cls(_edges=canon, _measure=m, _killing=killing, name=name)
+        return cls(_rows=rows, _measures=m, _killings=killing, name=name)
 
     @classmethod
     def lazy(cls, neighbor_fn: Callable[[int], Mapping[int, object]],
              measure_fn: Callable[[int], object],
              killing_fn: Callable[[int], object] | None = None,
-             row_sum_fn: Callable[[int], object] | None = None,
              label_fn: Callable[[int], object] | None = None,
              name: str = "") -> "WeightedGraph":
         """Build a lazily enumerated (typically infinite) graph.
 
         ``neighbor_fn(x)`` returns ``{y: b(x,y)}`` for the locally finite
-        neighborhood of ``x``; ``row_sum_fn`` may be supplied when the total
-        degree has a cheaper closed form than summing neighbors.
+        neighborhood of ``x``; the degree of ``x`` is the sum of that row.
 
         The callbacks must be pure functions of the vertex: the neighbor
         row (positive weights only), the measure and the killing of each
-        vertex are cached on first use, and operator assembly caches their
-        float conversions too.  A callback that raises caches nothing.
+        vertex are stored on first use, after the same checks
+        :meth:`from_data` makes (m > 0, c >= 0), and operator assembly
+        caches their float conversions too.  A callback or check that
+        raises stores nothing.
         """
         return cls(_neighbor_fn=neighbor_fn, _measure_fn=measure_fn,
-                   _killing_fn=killing_fn, _row_sum_fn=row_sum_fn,
-                   _label_fn=label_fn, name=name)
+                   _killing_fn=killing_fn, _label_fn=label_fn, name=name)
 
     # -- queries ---------------------------------------------------------
 
     @property
     def is_finite(self) -> bool:
-        return self._edges is not None
+        """True for graphs from :meth:`from_data`, whose store is complete."""
+        return self._neighbor_fn is None
 
     def vertices(self) -> Iterable[int]:
         if not self.is_finite:
             raise InputError("lazy graph has no global vertex enumeration")
-        return sorted(self._measure)
+        return sorted(self._measures)
 
     def __len__(self) -> int:
         if not self.is_finite:
             raise InputError("lazy graph has no size")
-        return len(self._measure)
+        return len(self._measures)
 
     def _row(self, x: int) -> dict[int, object]:
         """Neighbor map {y: b(x,y)} with positive weights; callers must not
         mutate it (it is the graph's own storage)."""
-        if self.is_finite:
-            return self._adj.get(x, {})
         row = self._rows.get(x)
         if row is None:
+            if self.is_finite:
+                return {}
             row = self._rows[x] = {y: b for y, b in self._neighbor_fn(x).items() if b > 0}
         return row
 
@@ -177,39 +180,27 @@ class WeightedGraph:
         return dict(self._row(x))
 
     def edge_weight(self, x: int, y: int):
-        """b(x,y), mirrored read; 0 for non-edges and on the diagonal."""
-        if x == y:
-            return 0
-        if self.is_finite:
-            key = (x, y) if x < y else (y, x)
-            return self._edges.get(key, 0)
-        return self._row(x).get(y, 0)
+        """b(x,y); 0 for non-edges and on the diagonal."""
+        return 0 if x == y else self._row(x).get(y, 0)
 
     def measure(self, x: int):
-        if self.is_finite:
-            try:
-                return self._measure[x]
-            except KeyError:
-                raise InputError(f"unknown vertex {x}") from None
         m = self._measures.get(x)
         if m is None:
-            m = self._measures[x] = self._measure_fn(x)
+            if self.is_finite:
+                raise InputError(f"unknown vertex {x}")
+            m = self._measures[x] = _checked_measure(x, self._measure_fn(x))
         return m
 
     def killing(self, x: int):
-        if self.is_finite:
-            return self._killing.get(x, 0)
-        if self._killing_fn is None:
-            return 0
         c = self._killings.get(x)
         if c is None:
-            c = self._killings[x] = self._killing_fn(x)
+            if self._killing_fn is None:
+                return 0
+            c = self._killings[x] = _checked_killing(x, self._killing_fn(x))
         return c
 
     def row_sum(self, x: int):
         """Total degree sum_y b(x,y) of the full (unrestricted) graph."""
-        if self._row_sum_fn is not None:
-            return self._row_sum_fn(x)
         return sum(self._row(x).values())
 
     def label(self, x: int):
@@ -223,7 +214,7 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class VertexFunction:
-    """Finitely supported (or truncation-supported) function on vertices.
+    """Finitely supported function on vertices.
 
     ``values`` omits zeros; evaluation outside the stored support returns 0.
     Norms are measure-weighted: ``norm(g, p)**p == sum |f|^p m`` and
@@ -231,13 +222,9 @@ class VertexFunction:
     """
 
     values: Mapping[int, object]
-    finite_support: bool = True
 
     def __call__(self, x: int):
         return self.values.get(x, 0)
-
-    def support(self) -> list[int]:
-        return [x for x, v in self.values.items() if v != 0]
 
     def norm(self, graph: WeightedGraph, p: float = 2) -> float:
         if p == math.inf:
@@ -305,9 +292,6 @@ class Exhaustion:
     def __getitem__(self, k: int) -> tuple[int, ...]:
         return self.sets[k]
 
-    def truncated(self, count: int) -> "Exhaustion":
-        return Exhaustion(self.graph, self.sets[:count])
-
 
 # -- pointwise operations --------------------------------------------------
 
@@ -318,8 +302,6 @@ def formal_laplacian(g: WeightedGraph, f: VertexFunction, x: int):
     Requires sum_y b(x,y)|f(y)| < infinity, which holds automatically for
     finitely supported f on locally finite graphs.
     """
-    if not f.finite_support and not g.is_finite:
-        raise InputError("formal Laplacian needs finitely supported f on lazy graphs")
     fx = f(x)
     acc = 0
     for y, b in g.neighbors(x).items():

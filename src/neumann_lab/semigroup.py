@@ -12,9 +12,10 @@ elimination in :mod:`._elim`, in float64:
 
 Both actions read the float rows that operator assembly built once
 (``offdiag``, ``excess``); the operator's exact data feeds only the residual
-certificate and the mpmath reference.  Residuals are verified in exact
-rational arithmetic, so the check itself cannot drown in rounding.  A dense eigendecomposition is available
-on demand for diagnostics at moderate scale, and no action depends on it.
+certificate.  Residuals are verified in exact rational arithmetic on that
+data, so the check itself cannot drown in rounding.  A dense
+eigendecomposition is available on demand for diagnostics at moderate
+scale, and no action depends on it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import _elim
 from .errors import InputError, NeumannLabError
 from .graphs import VertexFunction
-from .operators import DENSE_SIZE_CAP, RestrictedOperator, _exact_ratio, evaluate_form
+from .operators import DENSE_SIZE_CAP, RestrictedOperator, evaluate_form
 
 __all__ = [
     "SemigroupEngine",
@@ -102,19 +103,6 @@ class SemigroupEngine:
                 f"operator not positive semidefinite: min eigenvalue {lam[0]:.3e}")
         return lam, U
 
-    # -- exact matrix pieces for the residual and the mpmath reference --
-
-    @cached_property
-    def _offdiag_exact(self):
-        op = self.operator
-        return [{j: _exact_ratio(b, mi) for j, b in row.items()}
-                for row, mi in zip(op.weights, op.measures)]
-
-    @cached_property
-    def _excess_exact(self):
-        op = self.operator
-        return [_exact_ratio(k, mi) for k, mi in zip(op.killing_mass, op.measures)]
-
     # -- heat -------------------------------------------------------------
 
     def heat_vec(self, t: float, vec: np.ndarray) -> np.ndarray:
@@ -145,18 +133,33 @@ class SemigroupEngine:
         return fac.solve(np.asarray(vec, dtype=float))
 
     def resolvent_residual(self, alpha: float, u: np.ndarray, f: np.ndarray) -> float:
-        """l2(m) norm of (L+alpha)u - f, accumulated in exact rationals."""
+        """l2(m) norm of (L+alpha)u - f on the operator's exact data.
+
+        Row i of (L+alpha)u - f is s_i/m_i with
+        s_i = sum_j b_ij (u_i - u_j) + (k_i + alpha m_i) u_i - m_i f_i, so the
+        squared norm is sum_i s_i^2/m_i.  Every operand is an integer ratio
+        (floats are dyadic), so s_i is summed exactly over one common
+        denominator and only its square enters a Fraction: the check itself
+        cannot drown in rounding, for float and rational data alike.
+        """
         op = self.operator
-        n = len(op)
+        us = [v.as_integer_ratio() for v in np.asarray(u, dtype=float).tolist()]
+        fs = [v.as_integer_ratio() for v in np.asarray(f, dtype=float).tolist()]
+        an, ad = Fraction(alpha).as_integer_ratio()
         total = Fraction(0)
-        alpha_f = Fraction(alpha)
-        for i in range(n):
-            acc = (Fraction(sum(self._offdiag_exact[i].values()))
-                   + Fraction(self._excess_exact[i]) + alpha_f) * Fraction(u[i])
-            for j, b in self._offdiag_exact[i].items():
-                acc -= Fraction(b) * Fraction(u[j])
-            acc -= Fraction(f[i])
-            total += acc * acc * Fraction(op.measures[i])
+        for (un, ud), (fn, fd), row, k, m in zip(us, fs, op.weights, op.killing_mass,
+                                                  op.measures):
+            mn, md = m.as_integer_ratio()
+            kn, kd = k.as_integer_ratio()
+            terms = [(kn * un, kd * ud), (an * mn * un, ad * md * ud), (-mn * fn, md * fd)]
+            for j, b in row.items():
+                bn, bd = b.as_integer_ratio()
+                vn, vd = us[j]
+                terms.append((bn * (un * vd - vn * ud), bd * ud * vd))
+            num, den = 0, 1
+            for n, d in terms:
+                num, den = num * d + n * den, den * d
+            total += Fraction(num * num * md, den * den * mn)
         try:
             return float(total) ** 0.5
         except OverflowError:

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, settings
 
 from neumann_lab import _elim
 from neumann_lab.graphs import WeightedGraph
+from neumann_lab.operators import _exact_ratio
 
 # one profile for every property test: derandomized, so the suite gives the
 # same verdict on every run, and without deadlines, which slow hosts miss
@@ -12,8 +13,9 @@ settings.register_profile("neumann-lab", derandomize=True, database=None, deadli
 settings.load_profile("neumann-lab")
 
 
-def random_connected_graph(rng, n_max=60, with_killing=False):
-    """Random connected weighted graph on 2..n_max vertices.
+def random_graph_data(rng, n_max=60, with_killing=False):
+    """Edges, measure and killing of a random connected weighted graph on
+    2..n_max vertices.
 
     Spanning tree plus extra edges; b in [0.1, 3], m in [0.5, 2],
     optional killing c in [0, 0.5] on some vertices.
@@ -33,7 +35,13 @@ def random_connected_graph(rng, n_max=60, with_killing=False):
         for v in range(n):
             if rng.random() < 0.3:
                 killing[v] = float(rng.uniform(0.0, 0.5))
-    return WeightedGraph.from_data(edges, measure, killing, name=f"random-{n}")
+    return edges, measure, killing
+
+
+def random_connected_graph(rng, n_max=60, with_killing=False):
+    """Finite graph on the data of :func:`random_graph_data`."""
+    edges, measure, killing = random_graph_data(rng, n_max, with_killing)
+    return WeightedGraph.from_data(edges, measure, killing, name=f"random-{len(measure)}")
 
 
 @pytest.fixture
@@ -56,6 +64,10 @@ def dense_heat(engine, t, vec):
 
 
 def mp_heat(engine, t, vec):
-    """The same rational approximation as the engine, solved in mpmath."""
-    return _elim.cf_heat_mp(engine._offdiag_exact, engine._excess_exact, t, vec,
-                            engine.operator.scale)
+    """The same rational approximation as the engine, solved in mpmath on
+    the operator's exact ratios b/m and (killing mass)/m."""
+    op = engine.operator
+    offdiag = [{j: _exact_ratio(b, m) for j, b in row.items()}
+               for row, m in zip(op.weights, op.measures)]
+    excess = [_exact_ratio(k, m) for k, m in zip(op.killing_mass, op.measures)]
+    return _elim.cf_heat_mp(offdiag, excess, t, vec, op.scale)

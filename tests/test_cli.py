@@ -8,10 +8,19 @@ from neumann_lab.cli import main, parse_certificates, parse_truncations, referen
 from neumann_lab.errors import InputError
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not valid JSON")
+
+
+def load_report(text):
+    """Parse a report strictly: NaN and Infinity fail the test."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
+    return code, (load_report(out) if out.strip() else None)
 
 
 class TestParsing:
@@ -126,7 +135,7 @@ class TestExperiments:
         code = main(["--model", "bd:unit", "--experiment", "l1-defect",
                      "--truncations", "10:30:10", "--out", str(out)])
         assert code == 0
-        payload = json.loads((tmp_path / "report.json").read_text())
+        payload = load_report((tmp_path / "report.json").read_text())
         assert payload["experiment"] == "l1-defect"
         csv_text = (tmp_path / "report.csv").read_text()
         assert csv_text.splitlines()[0] == "k,size,l1,l2,pointwise,pairing,bound"
@@ -157,7 +166,7 @@ class TestExperiments:
         out = tmp_path / "r"
         assert main(["--model", f"file:{path}", "--experiment", "feller",
                      "--out", str(out)]) == 1
-        payload = json.loads((tmp_path / "r.json").read_text())
+        payload = load_report((tmp_path / "r.json").read_text())
         assert payload["status"] == "error"
         assert payload["error_kind"] == "input-error"
         assert "float cap" in payload["reason"]
@@ -168,9 +177,36 @@ class TestExperiments:
         out = tmp_path / "r"
         assert main(["--model", "bd:custom", "--rate", rate, "--measure", "1",
                      "--experiment", "classify", "--out", str(out)]) == 1
-        payload = json.loads((tmp_path / "r.json").read_text())
+        payload = load_report((tmp_path / "r.json").read_text())
         assert payload["status"] == "error"
         assert payload["error_kind"] == "input-error"
+
+    @pytest.mark.parametrize("experiment", ["gap", "feller"])
+    def test_single_set_exhaustion_is_input_error(self, capsys, experiment):
+        # one set gives the Dirichlet reference no increment to stop on
+        code, payload = run_cli(capsys, "--model", "bd:unit",
+                                "--experiment", experiment, "--truncations", "10")
+        assert code == 1
+        assert payload["error_kind"] == "input-error"
+        assert "at least two exhaustion sets" in payload["reason"]
+        assert "last_increment" not in payload
+
+    def test_classify_partial_sums_beyond_float_range(self, tmp_path):
+        # the hamburger partial sums pass 2^1024 before r = 1000
+        out = tmp_path / "r"
+        assert main(["--model", "bd:custom", "--rate", "1", "--measure", "2**(2*r)",
+                     "--experiment", "classify", "--horizon", "1000",
+                     "--out", str(out)]) == 3
+        payload = load_report((tmp_path / "r.json").read_text())
+        assert payload["hamburger"]["last_partial_sum"] is None
+        assert payload["series_inv_b"]["last_partial_sum"] == 1001.0
+        rows = (tmp_path / "r.csv").read_text().splitlines()
+        assert rows[0] == "r,inv_b_partial,tail_partial,hamburger_partial"
+        assert rows[2] == "1,2.0,,68.0"
+        assert rows[-1] == "1000,1001.0,,"
+        tidy = (tmp_path / "r_tidy.csv").read_text().splitlines()
+        assert "1000,inv_b_partial,1001.0" in tidy
+        assert not any(line.startswith("1000,hamburger") for line in tidy)
 
     def test_dump_matrix(self, capsys):
         code, payload = run_cli(capsys, "--model", "bd:unit",
@@ -188,8 +224,8 @@ class TestDeterminism:
                 "--truncations", "5:20:5"]
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
-        pa = json.loads((tmp_path / "a.json").read_text())
-        pb = json.loads((tmp_path / "b.json").read_text())
+        pa = load_report((tmp_path / "a.json").read_text())
+        pb = load_report((tmp_path / "b.json").read_text())
         pa.pop("timestamp"), pb.pop("timestamp")
         assert pa == pb
         assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()

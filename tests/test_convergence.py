@@ -65,6 +65,18 @@ class TestDirichletReference:
         assert exc.value.last_increment is not None
         assert exc.value.last_increment > 1e-12
 
+    @pytest.mark.parametrize("reference", [dirichlet_reference, dirichlet_resolvent_reference])
+    def test_single_set_rejected_before_any_solve(self, reference, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved on a single-set exhaustion")
+
+        monkeypatch.setattr(SemigroupEngine, "heat_vec", no_solve)
+        monkeypatch.setattr(SemigroupEngine, "resolvent_vec", no_solve)
+        m = models.PRESETS["bd:unit"]()
+        ex = models.make_exhaustion(m, 0, indices=[10])
+        with pytest.raises(InputError, match="at least two exhaustion sets"):
+            reference(m.graph, ex, 1.0, VertexFunction.indicator(0))
+
     def test_rejects_signed_phi(self):
         g = path_graph(4)
         ex = full_exhaustion(g, [2])
@@ -104,6 +116,22 @@ class TestNeumannConvergence:
         assert all(b <= a + 1e-10 for a, b in zip(pairs, pairs[1:]))
         # distances decrease on this instance
         assert all(b < a for a, b in zip(rep.l2_distance, rep.l2_distance[1:]))
+
+    def test_reference_set_skips_the_resolvent(self, monkeypatch):
+        calls = []
+        solve = SemigroupEngine.resolvent_vec
+
+        def counted(engine, alpha, vec):
+            calls.append(len(engine.operator))
+            return solve(engine, alpha, vec)
+
+        monkeypatch.setattr(SemigroupEngine, "resolvent_vec", counted)
+        m = models.PRESETS["bd:unit"]()
+        ex = models.make_exhaustion(m, 0, indices=[10, 20, 30, 40, 50])
+        rep = neumann_convergence_experiment(m.graph, ex, 1.0, VertexFunction.indicator(0),
+                                             alpha=1.0)
+        assert len(rep.quadratic_pairings) == 4
+        assert calls == [10, 20, 30, 40]
 
     def test_reference_must_cover_iterates(self):
         g = path_graph(6)

@@ -133,6 +133,8 @@ class TestConstruction:
     def test_rejects_nonpositive_measure(self):
         with pytest.raises(InputError, match="measure"):
             WeightedGraph.from_data({}, {0: 0})
+        with pytest.raises(InputError, match="nonpositive measure"):
+            WeightedGraph.from_data({}, {0: float("nan")})
 
     def test_rejects_negative_weight(self):
         with pytest.raises(InputError, match="negative"):
@@ -268,3 +270,20 @@ class TestLazyGraph:
         assert weighted_degree(g, 0) == 1
         f = VertexFunction.indicator(2)
         assert formal_laplacian(g, f, 2) == 2
+
+    def test_bad_lazy_data_rejected_on_first_use(self):
+        g = WeightedGraph.lazy(
+            neighbor_fn=lambda x: ({1: 1} if x == 0 else {x - 1: 1, x + 1: 1}),
+            measure_fn=lambda x: float("nan") if x == 3 else 1,
+            killing_fn=lambda x: -1 if x == 2 else 0,
+        )
+        assert g.measure(2) == 1 and g.killing(3) == 0
+        for _ in range(2):  # a rejected value is not stored
+            with pytest.raises(InputError, match="nonpositive measure"):
+                g.measure(3)
+            with pytest.raises(InputError, match="negative killing"):
+                g.killing(2)
+        with pytest.raises(InputError, match="negative killing"):
+            formal_laplacian(g, VertexFunction.indicator(2), 2)
+        with pytest.raises(InputError, match="nonpositive measure"):
+            VertexFunction.indicator(3).norm(g, 2)

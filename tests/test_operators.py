@@ -15,7 +15,7 @@ from neumann_lab.operators import (
     laplacian_identity_check,
 )
 
-from conftest import path_graph, random_connected_graph
+from conftest import path_graph, random_connected_graph, random_graph_data
 
 
 def nested_subsets(rng, g):
@@ -271,9 +271,7 @@ class TestFloatRows:
             g = random_connected_graph(rng, 40, with_killing=True)
             assemble_in_turn(g, nested_subsets(rng, g))
 
-    def test_lazy_row_sum_beyond_the_neighbours(self):
-        # row_sum_fn reports 1/3 more than the listed neighbours carry, so
-        # even interior Dirichlet rows keep a boundary term
+    def test_lazy_rows_with_killing(self):
         def neighbors(x):
             row = {x + 1: Fraction(1, x + 1)}
             if x > 0:
@@ -282,11 +280,47 @@ class TestFloatRows:
 
         g = WeightedGraph.lazy(
             neighbor_fn=neighbors, measure_fn=lambda x: Fraction(x + 1, 3),
-            killing_fn=lambda x: Fraction(1, x + 2),
-            row_sum_fn=lambda x: sum(neighbors(x).values()) + Fraction(1, 3))
+            killing_fn=lambda x: Fraction(1, x + 2))
         assemble_in_turn(g, [list(range(s)) for s in (1, 4, 8, 12)])
         d_op, n_op = assemble_dirichlet(g, range(8)), assemble_neumann(g, range(8))
-        assert all(d > n for d, n in zip(d_op.diagonal, n_op.diagonal))
+        # only vertex 7 has an edge leaving {0, ..., 7}
+        assert list(d_op.diagonal[:-1]) == list(n_op.diagonal[:-1])
+        assert d_op.diagonal[-1] > n_op.diagonal[-1]
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+    def test_finite_and_lazy_graph_agree(self, exact):
+        # the same data as a finite graph and as a lazy graph whose callbacks
+        # list each vertex's neighbours in from_data's order
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            edges, measure, killing = random_graph_data(rng, 30, with_killing=True)
+            if exact:
+                edges, measure, killing = ({k: Fraction(v).limit_denominator(50)
+                                            for k, v in data.items()}
+                                           for data in (edges, measure, killing))
+            fin = WeightedGraph.from_data(edges, measure, killing)
+            verts = list(fin.vertices())
+            adj = {x: {} for x in verts}
+            for (x, y), b in edges.items():
+                adj[x][y] = b
+                adj[y][x] = b
+            lazy = WeightedGraph.lazy(neighbor_fn=adj.__getitem__,
+                                      measure_fn=measure.__getitem__,
+                                      killing_fn=lambda x: killing.get(x, 0))
+            for x in verts:
+                assert lazy.neighbors(x) == fin.neighbors(x)
+                assert lazy.measure(x) == fin.measure(x)
+                assert lazy.killing(x) == fin.killing(x)
+                assert lazy.row_sum(x) == fin.row_sum(x)
+                for y in verts:
+                    assert lazy.edge_weight(x, y) == fin.edge_weight(x, y)
+            for subset in nested_subsets(rng, fin):
+                for assemble in (assemble_dirichlet, assemble_neumann):
+                    a, b = assemble(fin, subset), assemble(lazy, subset)
+                    assert (a.vertices, a.weights, a.killing_mass, a.measures, a.offdiag) \
+                        == (b.vertices, b.weights, b.killing_mass, b.measures, b.offdiag)
+                    assert a.excess.tolist() == b.excess.tolist()
+                    assert a.diagonal.tolist() == b.diagonal.tolist()
 
     def test_edge_leaving_the_subset_beyond_cap(self):
         # b(x, x+1) = 2^(1100 x): only the Dirichlet restriction to {0, 1}

@@ -236,6 +236,23 @@ class TestResolvent:
             fnorm = math.sqrt(float((vec**2 * op.measure_vector).sum()))
             assert res.residual_norm <= 1e-10 * fnorm
 
+    def test_residual_is_exact_on_float_data(self):
+        # b/m rounded to a float would certify a nearby matrix instead
+        g = WeightedGraph.from_data({(0, 1): 0.1, (1, 2): 0.7, (0, 2): 0.3},
+                                    {0: 0.3, 1: 0.7, 2: 1.1}, {1: 0.2})
+        op = assemble_neumann(g, [0, 1, 2])
+        e = SemigroupEngine(op)
+        f = np.array([1.0, 0.0, 0.0])
+        u = e.resolvent_vec(1.0, f)
+        total = Fraction(0)
+        for i, (row, k, m) in enumerate(zip(op.weights, op.killing_mass, op.measures)):
+            ui = Fraction(u[i])
+            s = sum(Fraction(b) * (ui - Fraction(u[j])) for j, b in row.items())
+            s += (Fraction(k) + Fraction(m)) * ui - Fraction(m) * Fraction(f[i])
+            total += s * s / Fraction(m)
+        assert e.resolvent_residual(1.0, u, f) == pytest.approx(float(total) ** 0.5,
+                                                                 rel=1e-12, abs=0)
+
     def test_contraction_bound(self, rng):
         g = random_connected_graph(rng, 30)
         op = assemble_neumann(g, list(g.vertices()))
