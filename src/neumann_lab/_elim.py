@@ -1,21 +1,24 @@
 """Sparse elimination behind the semigroup engine.
 
 One subtraction-free elimination (Grassmann, Taksar & Heyman 1985) serves
-every heat and resolvent action, in a minimum-remaining-degree order (exact
-leaf-first elimination on trees, hence fill-free for chains and combs).
+every heat and resolvent action.  Its pivot rule does not depend on the
+order, so it runs in rounds of pairwise non-adjacent low-degree vertices
+(multiple elimination, Liu 1985), each round at once in numpy.
 
-* :func:`gth_factor` eliminates A - s for a restricted Laplacian A and a
-  shift s.  Diagonals are never stored: a pivot is the row sum of the live
-  off-diagonal entries plus an "excess" (killing mass over measure, minus
-  s), and eliminating a vertex adds ``l_a * excess_i`` to each neighbour's
-  excess.  For s = -alpha every update adds nonnegative terms, so
-  (A + alpha) u = f is solved componentwise to machine precision for
-  f >= 0 at any dynamic range; signed f is split by sign.
+* :func:`gth_factor` eliminates A - s for a restricted Laplacian A and one
+  shift s, or K shifts as the columns of one factorization.  Diagonals are
+  never stored: a pivot is the row sum of the live off-diagonal entries
+  plus an "excess" (killing mass over measure, minus s), and eliminating a
+  vertex adds ``l_a * excess_i`` to each neighbour's excess.  For s = -alpha
+  every update adds nonnegative terms, so (A + alpha) u = f is solved
+  componentwise to machine precision for f >= 0 at any dynamic range;
+  signed f is split by sign.
 * :func:`cf_heat` applies exp(-tA) through the rational approximation in
   :mod:`._expcf` (Trefethen, Weideman & Schmelzer 2006).  A pole p needs
-  (A - p/t)^{-1}: the same recursion with a complex excess.  Pivots keep the
-  row sums they carry, so the O(1) components on huge-degree vertices are
-  not cancelled away and float64 suffices.
+  (A - p/t)^{-1}, the same recursion with a complex excess; one pole per
+  conjugate pair, 7 shifts, is factored together.  Pivots keep the row
+  sums they carry, so the O(1) components on huge-degree vertices are not
+  cancelled away and float64 suffices.
 
 :func:`cf_heat_mp` solves the same approximation by Gaussian elimination in
 mpmath, at a precision scaled to the dynamic range.  It is the reference
@@ -24,10 +27,10 @@ that tests compare :func:`cf_heat` against; no engine calls it.
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
 from fractions import Fraction
+from itertools import chain
 
 import mpmath as mp
 import numpy as np
@@ -42,69 +45,67 @@ __all__ = ["elimination_order", "GTHFactors", "gth_factor", "cf_heat",
 _MP_LOCK = threading.Lock()
 
 
-def elimination_order(neighbor_sets: list[set[int]]) -> list[int]:
-    """Minimum-remaining-degree elimination order with fill tracking."""
-    n = len(neighbor_sets)
+def elimination_order(neighbor_sets: list[set[int]]) -> list[dict[int, list[int]]]:
+    """Rounds of pairwise non-adjacent vertices, each vertex mapped to its
+    live neighbours (fill included) when its round is eliminated.
+
+    A round takes greedily, in (live degree, index) order, the live vertices
+    of degree <= max(2, minimum live degree) that no vertex taken before is
+    adjacent to.  On a path the live vertices halve per round, and on trees
+    these eliminations never increase the number of nonzeros.
+    """
     live = [set(s) for s in neighbor_sets]
-    heap = [(len(live[i]), i) for i in range(n)]
-    heapq.heapify(heap)
-    gone = [False] * n
-    order = []
-    while heap:
-        d, i = heapq.heappop(heap)
-        if gone[i] or d != len(live[i]):
-            continue
-        gone[i] = True
-        order.append(i)
-        nbrs = [a for a in live[i] if not gone[a]]
-        for a in nbrs:
-            live[a].discard(i)
-        for ai in range(len(nbrs)):
-            for bi in range(ai + 1, len(nbrs)):
-                a, b = nbrs[ai], nbrs[bi]
-                if b not in live[a]:
-                    live[a].add(b)
-                    live[b].add(a)
-        for a in nbrs:
-            heapq.heappush(heap, (len(live[a]), a))
-    return order
+    left = set(range(len(live)))
+    rounds = []
+    while left:
+        by_degree = sorted((len(live[i]), i) for i in left)
+        cap = max(2, by_degree[0][0])
+        rnd, blocked = {}, set()
+        for d, i in by_degree:
+            if d > cap:
+                break
+            if i not in blocked:
+                rnd[i] = sorted(live[i])
+                blocked |= live[i]
+        for i, nbrs in rnd.items():
+            for a in nbrs:
+                live[a] |= live[i]
+                live[a] -= {a, i}
+        left -= rnd.keys()
+        rounds.append(rnd)
+    return rounds
 
 
 class GTHFactors:
-    """LU-like factors from subtraction-free elimination.
+    """LU-like factors from subtraction-free elimination, one round at a time.
 
-    ``order`` is the elimination sequence; per eliminated vertex we keep its
-    pivot, its upper row (edges to then-live neighbors) and the multipliers
-    of those neighbors' rows.  ``dtype`` is float for a real shift and
-    complex for a complex one.
+    ``pivots`` has one row per vertex, and ``rounds`` holds per round the
+    tuple (vertices, i, b, upper, mult, at_i, at_b): per entry (i, b) of a
+    round vertex i and a neighbour b live at that round, ``upper`` is the
+    coefficient of (i, b) and ``mult`` the multiplier of b's row, one column
+    per shift, and ``at_i``/``at_b`` index i's and b's rows of a flattened
+    (n, K) array.  ``shape`` is that of the excess: (n,) for one shift,
+    (n, K) for K.  The dtype is float for real shifts, complex otherwise.
     """
 
-    __slots__ = ("n", "order", "pivots", "rows", "mults", "dtype")
+    __slots__ = ("pivots", "rounds", "shape")
 
-    def __init__(self, n, order, pivots, rows, mults, dtype):
-        self.n = n
-        self.order = order
+    def __init__(self, pivots, rounds, shape):
         self.pivots = pivots
-        self.rows = rows
-        self.mults = mults
-        self.dtype = dtype
+        self.rounds = rounds
+        self.shape = shape
 
     def solve_nonneg(self, f: np.ndarray) -> np.ndarray:
         """Forward/back substitution; all additions for f >= 0 and a real shift."""
-        y = np.asarray(f, dtype=self.dtype).tolist()
-        for i, mult in zip(self.order, self.mults):
-            yi = y[i]
-            if yi:
-                for a, la in mult.items():
-                    y[a] += la * yi
-        x = [0.0] * self.n
-        for pos in range(len(self.order) - 1, -1, -1):
-            i = self.order[pos]
-            acc = y[i]
-            for j, coef in self.rows[pos].items():
-                acc += coef * x[j]
-            x[i] = acc / self.pivots[pos]
-        return np.array(x, dtype=self.dtype)
+        f = np.asarray(f, dtype=self.pivots.dtype)
+        y = np.repeat(f[:, None], self.pivots.shape[1], axis=1)
+        for _verts, i, _b, _upper, mult, _at_i, at_b in self.rounds:
+            np.add.at(y.reshape(-1), at_b, (mult * y[i]).ravel())
+        # back substitution in place: a round reads x only of later rounds
+        for verts, _i, b, upper, _mult, at_i, _at_b in reversed(self.rounds):
+            np.add.at(y.reshape(-1), at_i, (upper * y[b]).ravel())
+            y[verts] /= self.pivots[verts]
+        return y.reshape(self.shape)
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         neg = np.minimum(f, 0.0)
@@ -114,45 +115,74 @@ class GTHFactors:
         return self.solve_nonneg(pos) - self.solve_nonneg(-neg)
 
 
-def gth_factor(offdiag: list[dict[int, float]], excess: np.ndarray,
-               order: list[int] | None = None) -> GTHFactors:
-    """Eliminate the matrix with rows ``diag_i = sum_j offdiag[i][j] + excess_i``,
-    off-diagonal entries ``-offdiag[i][j]``, in ``order`` (by default the
-    minimum-degree order of ``offdiag``'s pattern).
+# fill operations applied per batch, so a round's products stay small
+_CHUNK = 1 << 14
 
-    ``offdiag`` values must be nonnegative.  A real ``excess`` must be
-    strictly positive (e.g. alpha plus killing mass over measure); a
-    complex one is the excess of a complex shift, whose real part may be
-    negative as long as the matrix stays nonsingular.
+
+def gth_factor(offdiag: list[dict[int, float]], excess: np.ndarray,
+               order: list[dict[int, list[int]]] | None = None) -> GTHFactors:
+    """Eliminate the matrices with rows ``diag_i = sum_j offdiag[i][j] + excess_i``,
+    off-diagonal entries ``-offdiag[i][j]``, in the rounds of ``order`` (by
+    default :func:`elimination_order` of ``offdiag``'s pattern).
+
+    ``offdiag`` values must be nonnegative, on a symmetric pattern.
+    ``excess`` is (n,) for one shift or (n, K) for K shifts factored together.
+    A real excess must be strictly positive (e.g. alpha plus killing mass
+    over measure); a complex one is the excess of a complex shift, whose real
+    part may be negative as long as the matrix stays nonsingular.
     """
     n = len(offdiag)
-    rows = [dict(r) for r in offdiag]
     exc = np.asarray(excess)
     dtype = np.dtype(complex) if np.iscomplexobj(exc) else np.dtype(float)
-    exc = exc.astype(dtype).tolist()
+    shape = exc.shape
+    k = math.prod(shape[1:])
+    exc = exc.astype(dtype).reshape(n, k)
     if order is None:
         order = elimination_order([set(r) for r in offdiag])
-    pivots = []
-    urows = []
-    mults = []
-    for i in order:
-        row = rows[i]
-        pivot = sum(row.values()) + exc[i]
-        nbrs = list(row.items())
-        mult = {}
-        for a, _coef_ia in nbrs:
-            la = rows[a].pop(i) / pivot
-            mult[a] = la
-            exc[a] += la * exc[i]
-            arow = rows[a]
-            for b, coef_ib in nbrs:
-                if b != a:
-                    arow[b] = arow.get(b, 0.0) + la * coef_ib
-        pivots.append(pivot)
-        urows.append(dict(nbrs))
-        mults.append(mult)
-        rows[i] = None
-    return GTHFactors(n, order, pivots, urows, mults, dtype)
+    # entry e pairs a vertex i with a neighbour b live at i's round, in
+    # elimination order; every entry that is ever live is (i, b), kept in
+    # coef[e], or (b, i), kept in coef[E + e] and turned into b's multiplier
+    verts = np.fromiter(chain.from_iterable(order), int, n)
+    nbrs = [v for rnd in order for v in rnd.values()]
+    deg = np.fromiter(map(len, nbrs), int, n)
+    nb = np.fromiter(chain.from_iterable(nbrs), int)
+    src, span, first = verts.repeat(deg), deg.repeat(deg), (np.cumsum(deg) - deg).repeat(deg)
+    vcut = np.cumsum([0] + [len(rnd) for rnd in order])
+    ecut = np.append(0, np.cumsum(deg))[vcut]
+    E, cols = len(nb), np.arange(k)
+    at_i, at_b = ((x[:, None] * k + cols).ravel() for x in (src, nb))
+    keys = np.concatenate([src * n + nb, nb * n + src])
+    perm = np.argsort(keys)
+    keys = keys[perm]
+    rows = np.repeat(np.arange(n), [len(r) for r in offdiag])
+    coef = np.zeros((2 * E, k), dtype)
+    coef[perm[np.searchsorted(keys, rows * n + np.fromiter(chain.from_iterable(offdiag), int))]] = \
+        np.fromiter(chain.from_iterable(r.values() for r in offdiag), float, len(rows))[:, None]
+    pivots = np.zeros((n, k), dtype)
+    rounds = []
+    for v0, v1, e0, e1 in zip(vcut, vcut[1:], ecut, ecut[1:]):
+        rv, ri, rb = verts[v0:v1], src[e0:e1], nb[e0:e1]
+        upper, mult = coef[e0:e1], coef[E + e0:E + e1]
+        ai, ab = at_i[e0 * k:e1 * k], at_b[e0 * k:e1 * k]
+        # pivot = live row sum + excess, so no diagonal is ever differenced
+        np.add.at(pivots.reshape(-1), ai, upper.ravel())
+        pivots[rv] += exc[rv]
+        mult /= pivots[ri]
+        np.add.at(exc.reshape(-1), ab, (mult * exc[ri]).ravel())
+        # fill (a, b) += mult_a * upper_b over the pairs of distinct entries
+        # (i, a), (i, b) of one round vertex, one chunk of pairs at a time
+        s = span[e0:e1]
+        pa = np.repeat(np.arange(e0, e1), s)
+        pb = first[pa] + np.arange(len(pa)) - np.repeat(np.cumsum(s) - s, s)
+        keep = pa != pb
+        pa, pb = pa[keep], pb[keep]
+        for c in range(0, len(pa), _CHUNK):
+            a, b = pa[c:c + _CHUNK], pb[c:c + _CHUNK]
+            slot = perm[np.searchsorted(keys, nb[a] * n + nb[b])]
+            np.add.at(coef.reshape(-1), (slot[:, None] * k + cols).ravel(),
+                      (coef[E + a] * coef[b]).ravel())
+        rounds.append((rv, ri, rb, upper, mult, ai, ab))
+    return GTHFactors(pivots, rounds, shape)
 
 
 def cf_heat(offdiag: list[dict[int, float]], excess: np.ndarray, t: float,
@@ -161,20 +191,16 @@ def cf_heat(offdiag: list[dict[int, float]], excess: np.ndarray, t: float,
 
     With x_k = (A - POLES[2k]/t)^{-1} vec, the sum over the conjugate pair
     (POLES[2k], POLES[2k+1]) is Re((RESIDUES[2k] + conj(RESIDUES[2k+1])) x_k)/t,
-    so one elimination order and one shifted factorization per pair cover
-    the whole table.
+    so one factorization with the 7 shifts as columns covers the whole table.
     """
     vec = np.asarray(vec, dtype=float)
     if t == 0.0:
         return vec.copy()
     order = elimination_order([set(r) for r in offdiag])
-    excess = np.asarray(excess, dtype=float)
-    out = np.zeros(len(offdiag))
-    for k in range(0, len(POLES), 2):
-        x = gth_factor(offdiag, excess - POLES[k] / t, order).solve_nonneg(vec)
-        weight = (RESIDUES[k] + RESIDUES[k + 1].conjugate()) / t
-        out += (weight * x).real
-    return out
+    shifts = np.asarray(POLES[::2]) / t
+    x = gth_factor(offdiag, np.asarray(excess, dtype=float)[:, None] - shifts, order)
+    weights = (np.asarray(RESIDUES[::2]) + np.conj(RESIDUES[1::2])) / t
+    return (x.solve_nonneg(vec) * weights).real.sum(axis=1)
 
 
 def stiff_dps(scale: float, t: float = 1.0) -> int:
@@ -221,7 +247,7 @@ def cf_heat_mp(offdiag_exact: list[dict[int, object]], excess_exact: list[object
             d = [diag0[i] - pm for i in range(n)]
             f = [mp.mpc(float(vec[i])) for i in range(n)]
             elim = []
-            for i in order:
+            for i in chain.from_iterable(order):
                 nbrs = list(rows[i].items())
                 elim.append((i, nbrs, d[i]))
                 fi = f[i]

@@ -156,7 +156,7 @@ def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
         prev, ref_map = _largest_two(
             g, exhaustion, delta, lambda engine, vec: engine.resolvent_vec(alpha, vec))
         info = {"self_distance": _self_consistent(
-            g, prev, ref_map, self_tol, "neumann resolvent reference")}
+            g, [prev, ref_map], self_tol, "neumann resolvent reference")}
     else:
         raise InputError(f"unknown kind {kind!r}")
 
@@ -209,7 +209,7 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
     d_ref, d_info = dirichlet_reference(g, exhaustion, t, one_x, tol)
     prev, n_map = _largest_two(g, exhaustion, one_x,
                                lambda engine, vec: engine.heat_vec(t, vec))
-    self_dist = _self_consistent(g, prev, n_map, self_tol, "neumann heat reference")
+    self_dist = _self_consistent(g, [prev, n_map], self_tol, "neumann heat reference")
     d_map = d_ref.values
     gap = {}
     for v in set(n_map) | set(d_map):

@@ -127,8 +127,10 @@ def convergent(note: str = "", *, power: float | None = None,
 
 
 def _float_or_none(value) -> float | None:
-    """float(value), or None for an exact value beyond float range (reports
-    write it as JSON null and as an empty CSV cell)."""
+    """float(value), or None for None or an exact value beyond float range
+    (reports write it as JSON null and as an empty CSV cell)."""
+    if value is None:
+        return None
     try:
         return float(value)
     except OverflowError:
@@ -146,7 +148,8 @@ class SeriesRecord:
 
     @property
     def last(self):
-        return self.partial_sums[-1] if self.partial_sums else 0
+        """The last partial sum, or None for a series with no terms."""
+        return self.partial_sums[-1] if self.partial_sums else None
 
     def require(self, what: str) -> str:
         if self.verdict == "undetermined":

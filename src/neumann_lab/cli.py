@@ -356,6 +356,9 @@ def _emit_error(args, ex: Exception, kind: str):
     extra = getattr(ex, "last_increment", None)
     if extra is not None:
         payload["last_increment"] = float(extra)
+    increments = getattr(ex, "increments", None)
+    if increments is not None:
+        payload["increments"] = [float(v) for v in increments]
     cap = getattr(ex, "usable_cap", None)
     if cap is not None:
         payload["usable_cap"] = cap

@@ -42,6 +42,9 @@ PAIRING_SLACK = 1e-10
 
 GAP_FLOOR_ABSOLUTE = 1e-6
 
+# a gap whose log-log slope is at or below this decays and is no floor
+GAP_SLOPE_FLOOR = -0.1
+
 
 def _worker_count(n_tasks: int) -> int:
     """Truncations run one at a time (``bench/run.py`` records this width)."""
@@ -79,17 +82,33 @@ def _curve(maps, ref_map: dict[int, float], g: WeightedGraph, probe):
     return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
 
 
-def _self_consistent(g: WeightedGraph, prev: dict[int, float], last: dict[int, float],
-                     tol: float, what: str) -> float:
+def _self_consistent(g: WeightedGraph, maps: list[dict[int, float]], tol: float,
+                     what: str) -> float:
     """Gate for a Neumann reference taken from the largest truncation, which
-    has no monotonicity: its l2(m) distance to the previous iterate must not
-    exceed tol.  Returns that distance."""
-    _, dist, _ = _distance(last, prev, g, None)
+    has no monotonicity: its l2(m) distance to the previous iterate (the
+    last two of ``maps``) must not exceed tol.  Returns that distance; the
+    error carries the l2 distances between all consecutive ``maps``."""
+    _, dist, _ = _distance(maps[-1], maps[-2], g, None)
     if dist > tol:
         raise TruncationInsufficientError(
             f"{what} not self-consistent: l2 distance {dist:.3e} above {tol:.3e}",
-            last_increment=dist)
+            last_increment=dist,
+            increments=[_distance(b, a, g, None)[1] for a, b in zip(maps, maps[1:])])
     return dist
+
+
+def _loglog_slope(sizes, distances) -> float | None:
+    """Least-squares slope of log(distance) against log(size) over the
+    larger half of the sizes; None when a distance there is 0 or the sizes
+    there do not vary."""
+    half = len(sizes) // 2
+    if min(distances[half:]) <= 0.0 or len(set(sizes[half:])) < 2:
+        return None
+    xs = [math.log(s) for s in sizes[half:]]
+    ys = [math.log(d) for d in distances[half:]]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
 
 
 def _check_phi(phi: VertexFunction):
@@ -181,7 +200,7 @@ def _monotone_limit(g: WeightedGraph, exhaustion: Exhaustion, tol: float,
     ``action(engine, vec)`` applied to f on each Dirichlet truncation must
     give entrywise nondecreasing extensions by zero.  Stops when the l1
     increment drops below tol and returns the last extension (float values,
-    zeros dropped) with an info dict; raises with the last increment when the
+    zeros dropped) with an info dict; raises with every increment when the
     exhaustion ends first.  A single set gives no increment at all, so it is
     rejected before any solve.
     """
@@ -189,6 +208,7 @@ def _monotone_limit(g: WeightedGraph, exhaustion: Exhaustion, tol: float,
         raise InputError(f"{what} needs at least two exhaustion sets")
     prev: dict[int, float] | None = None
     increment = math.inf
+    increments = []
     used = 0
     clamps = 0
     for k, subset in enumerate(exhaustion.sets):
@@ -207,6 +227,7 @@ def _monotone_limit(g: WeightedGraph, exhaustion: Exhaustion, tol: float,
             for x, v_new in current.items():
                 if x not in prev:
                     increment += abs(v_new) * float(g.measure(x))
+            increments.append(increment)
             if increment < tol:
                 limit = VertexFunction({x: v for x, v in current.items() if v != 0.0})
                 return limit, {"sets_used": k + 1, "last_increment": increment,
@@ -215,7 +236,7 @@ def _monotone_limit(g: WeightedGraph, exhaustion: Exhaustion, tol: float,
         used = k + 1
     raise TruncationInsufficientError(
         f"{what}: increment {increment:.3e} still above tol {tol:.3e} "
-        f"after {used} truncations", last_increment=increment)
+        f"after {used} truncations", last_increment=increment, increments=increments)
 
 
 def dirichlet_reference(g: WeightedGraph, exhaustion: Exhaustion, t: float,
@@ -289,7 +310,7 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
     if reference is None:
         # the reference set has no pairing row, so it skips the resolvent
         ref_map, _, ref_clamps = one(ref_set, alpha=None)
-        _self_consistent(g, heats[-1], ref_map, self_tol, "neumann reference")
+        _self_consistent(g, heats + [ref_map], self_tol, "neumann reference")
         ref_kind = "neumann-self-consistent"
     else:
         if not set(iterate_sets[-1]) <= set(reference.values):
@@ -325,8 +346,11 @@ def dirichlet_gap_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
 
     A floor that persists across truncations is evidence (never proof) that
     the Dirichlet and Neumann forms differ; decay toward zero is evidence
-    of uniqueness.  The decision threshold max(10 tol, 1e-6) is recorded
-    with the report.
+    of uniqueness.  ``floor_is_evidence`` needs both: the last l2 distance
+    above the threshold max(10 tol, 1e-6), recorded with the report, and
+    ``gap_slope``, the log-log slope of the l2 distances over the larger
+    half of the sizes, above GAP_SLOPE_FLOOR.  A gap decaying like n^{-1/2}
+    (D = N with a stochastic defect) is thus not read as a floor.
     """
     _check_phi(phi)
     ref, ref_info = dirichlet_reference(g, ref_exhaustion or exhaustion, t, phi, tol)
@@ -340,11 +364,13 @@ def dirichlet_gap_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     l1s, l2s, points = _curve([heat for heat, _ in results], ref.values, g, probe)
     clamps = ref_info["clamped_entries"] + sum(c for _, c in results)
     threshold = max(10 * tol, GAP_FLOOR_ABSOLUTE)
+    sizes = [len(s) for s in exhaustion.sets]
+    slope = _loglog_slope(sizes, l2s)
     return ConvergenceReport(
         experiment="dirichlet-gap",
         reference_kind="dirichlet-limit",
         t=t,
-        sizes=[len(s) for s in exhaustion.sets],
+        sizes=sizes,
         l1_distance=l1s,
         l2_distance=l2s,
         pointwise_distance=points,
@@ -353,7 +379,9 @@ def dirichlet_gap_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
         metadata={"graph": name or g.name, "probe": probe,
                   "clamped_entries": clamps, "tol": tol,
                   "reference_info": ref_info,
-                  "floor_is_evidence": l2s[-1] > threshold},
+                  "gap_slope": slope,
+                  "floor_is_evidence": (l2s[-1] > threshold and slope is not None
+                                        and slope > GAP_SLOPE_FLOOR)},
     )
 
 

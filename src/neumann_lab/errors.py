@@ -28,12 +28,14 @@ class TruncationInsufficientError(NeumannLabError):
     """An exhaustion ran out before a reference converged.
 
     ``last_increment`` holds the final observed increment so callers can
-    judge how far the run was from the requested tolerance.
+    judge how far the run was from the requested tolerance; ``increments``,
+    when known, every increment between consecutive truncations up to it.
     """
 
-    def __init__(self, message, last_increment=None):
+    def __init__(self, message, last_increment=None, increments=None):
         super().__init__(message)
         self.last_increment = last_increment
+        self.increments = increments
 
 
 class UndeterminedClassificationError(NeumannLabError):

@@ -2,13 +2,15 @@
 
 One engine serves every operator, from unit weights to weighted degrees
 near the float cap.  Both actions run through the subtraction-free sparse
-elimination in :mod:`._elim`, in float64:
+elimination in :mod:`._elim`, in float64, one round of independent
+vertices at a time:
 
 * the heat action sums a uniform rational approximation of exp on
-  [0, inf) whose shifted systems (tL - p) are complex-shift eliminations;
-* the resolvent is the same elimination with the real shift -alpha, which
-  is componentwise accurate for nonnegative data at any dynamic range;
-  signed right-hand sides are split by sign.
+  [0, inf) whose shifted systems (tL - p) are complex-shift eliminations,
+  all 7 factored together as the columns of one elimination;
+* the resolvent is the same elimination with the one real shift -alpha,
+  which is componentwise accurate for nonnegative data at any dynamic
+  range; signed right-hand sides are split by sign.
 
 Both actions read the float rows that operator assembly built once
 (``offdiag``, ``excess``); the operator's exact data feeds only the residual

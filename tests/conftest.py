@@ -71,3 +71,16 @@ def mp_heat(engine, t, vec):
                for row, m in zip(op.weights, op.measures)]
     excess = [_exact_ratio(k, m) for k, m in zip(op.killing_mass, op.measures)]
     return _elim.cf_heat_mp(offdiag, excess, t, vec, op.scale)
+
+
+def antitree(sizes, weight=1.0):
+    """Anti-tree with spheres of the given sizes: every vertex of sphere r is
+    joined to every vertex of sphere r + 1 with ``weight``; unit measure.
+    Vertices are numbered sphere by sphere from the root."""
+    starts = np.cumsum([0] + list(sizes))
+    edges = {(a, b): weight
+             for r in range(len(sizes) - 1)
+             for a in range(starts[r], starts[r + 1])
+             for b in range(starts[r + 1], starts[r + 2])}
+    measure = {v: 1.0 for v in range(int(starts[-1]))}
+    return WeightedGraph.from_data(edges, measure, name=f"antitree-{int(starts[-1])}")

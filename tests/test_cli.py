@@ -160,6 +160,59 @@ class TestExperiments:
         assert code == 0
         assert payload["gap_floor"] <= payload["floor_threshold"]
 
+    def test_gap_floor_verdict_follows_the_trend(self, capsys):
+        # the 4^r chain has D = N and a stochastic defect: its l2 gap decays
+        # like n^{-1/2}, above the threshold but no floor.  bd:geo has D != N
+        # and a flat gap.
+        code, decay = run_cli(capsys, "--model", "bd:explosive",
+                              "--experiment", "dirichlet-gap",
+                              "--truncations", "10:320:10")
+        assert code == 0
+        assert decay["gap_floor"] > decay["floor_threshold"]
+        assert decay["metadata"]["gap_slope"] == pytest.approx(-0.5, abs=0.02)
+        assert decay["metadata"]["floor_is_evidence"] is False
+        code, flat = run_cli(capsys, "--model", "bd:geo",
+                             "--experiment", "dirichlet-gap",
+                             "--truncations", "10:100:10")
+        assert code == 0
+        assert abs(flat["metadata"]["gap_slope"]) < 1e-3
+        assert flat["metadata"]["floor_is_evidence"] is True
+
+    def test_gap_slope_is_null_on_a_zero_distance(self, capsys, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("V 0 1 0\nV 1 2 0\nE 0 1 1\n")
+        code, payload = run_cli(capsys, "--model", f"file:{p}",
+                                "--experiment", "dirichlet-gap",
+                                "--truncations", "0,1,1")
+        assert code == 0
+        assert payload["metadata"]["gap_slope"] is None
+        assert payload["metadata"]["floor_is_evidence"] is False
+
+    def test_neumann_gate_failure_keeps_every_increment(self, capsys):
+        code, payload = run_cli(capsys, "--model", "comb",
+                                "--experiment", "neumann-convergence",
+                                "--truncations", "2:6", "--alpha", "1.0")
+        assert code == 2
+        assert payload["error_kind"] == "truncation-insufficient"
+        # one l2 distance per consecutive pair of the rectangles j = 2..6
+        steps = payload["increments"]
+        assert len(steps) == 4
+        assert steps[-1] == payload["last_increment"]
+        assert all(b < a for a, b in zip(steps, steps[1:]))
+
+    def test_dirichlet_reference_failure_keeps_every_increment(self, capsys):
+        code, payload = run_cli(capsys, "--model", "bd:unit",
+                                "--experiment", "dirichlet-gap",
+                                "--truncations", "10:30:10", "--tol", "1e-300")
+        assert code == 2
+        assert "dirichlet heat reference" in payload["reason"]
+        steps = payload["increments"]
+        # one l1 increment per reference set after the first
+        assert len(steps) == len(reference_indices(models.PRESETS["bd:unit"](),
+                                                   [10, 20, 30])) - 1
+        assert steps[-1] == payload["last_increment"]
+        assert all(v > 1e-300 for v in steps)
+
     def test_weight_beyond_float_cap_is_input_error(self, tmp_path):
         path = tmp_path / "huge.txt"
         path.write_text(f"V 0 1 0\nV 1 1 0\nE 0 1 {2 ** 1100}\n")
@@ -207,6 +260,15 @@ class TestExperiments:
         tidy = (tmp_path / "r_tidy.csv").read_text().splitlines()
         assert "1000,inv_b_partial,1001.0" in tidy
         assert not any(line.startswith("1000,hamburger") for line in tidy)
+
+    def test_classify_series_without_terms_has_no_last_sum(self, tmp_path):
+        # m(X) is infinite, so the tail series has no terms at all
+        out = tmp_path / "r"
+        assert main(["--model", "bd:custom", "--rate", "1", "--measure", "2**(2*r)",
+                     "--experiment", "classify", "--horizon", "1000",
+                     "--out", str(out)]) == 3
+        payload = load_report((tmp_path / "r.json").read_text())
+        assert payload["series_tail"]["last_partial_sum"] is None
 
     def test_dump_matrix(self, capsys):
         code, payload = run_cli(capsys, "--model", "bd:unit",

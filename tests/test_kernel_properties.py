@@ -8,20 +8,29 @@ against the same rational approximation solved in mpmath (so only rounding
 separates them), against dense ``eigh`` where the scale allows it, and
 against the semigroup's own invariants: Neumann mass conservation and
 Dirichlet-below-Neumann domination.  The resolvent is checked against an
-exact rational solve and through its exact residual certificate.
+exact rational solve and through its exact residual certificate.  The
+elimination's rounds are checked for independence and depth, several
+shifts factored together against one shift at a time, and graphs whose
+elimination fills densely (layered complete bipartite graphs) against
+mpmath; a memory check bounds what a factorization allocates beyond the
+factors it returns.
 """
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from neumann_lab import _elim
+from neumann_lab._expcf import POLES
 from neumann_lab.graphs import WeightedGraph
 from neumann_lab.operators import assemble_dirichlet, assemble_neumann
 from neumann_lab.semigroup import SemigroupEngine
 
-from conftest import dense_heat, mp_heat
+from conftest import antitree, dense_heat, mp_heat
 
 TIMES = st.sampled_from([1e-3, 0.01, 0.3, 1.0, 10.0])
 
@@ -171,3 +180,97 @@ def test_resolvent_residual_is_small(graph, alpha, seed, neumann):
     top = float(np.max(terms))
     size = top * float(np.sqrt(((terms / top) ** 2 * op.measure_vector).sum()))
     assert e.resolvent_residual(alpha, u, vec) <= 1e-10 * size
+
+
+def _pattern(op):
+    return [set(row) for row in op.offdiag]
+
+
+@settings(max_examples=25)
+@given(graphs())
+def test_rounds_are_independent_sets_of_the_live_graph(graph):
+    g, n = graph
+    op = assemble_neumann(g, list(range(n)))
+    live = _pattern(op)
+    seen = []
+    for rnd in _elim.elimination_order(_pattern(op)):
+        assert rnd
+        for i, nbrs in rnd.items():
+            assert set(nbrs) == live[i]
+            assert not live[i] & rnd.keys()
+        # eliminate the round: its neighbours become a clique
+        for i, nbrs in rnd.items():
+            for a in nbrs:
+                live[a] = (live[a] | live[i]) - {a, i}
+        seen.extend(rnd)
+    assert sorted(seen) == list(range(n))
+
+
+@given(st.integers(1, 5000))
+def test_path_needs_logarithmically_many_rounds(n):
+    pattern = [{j for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)]
+    assert len(_elim.elimination_order(pattern)) <= math.ceil(math.log2(n)) + 2
+
+
+@settings(max_examples=25)
+@given(graphs(), TIMES, st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_shifts_factored_together_equal_one_at_a_time(graph, t, seed, neumann):
+    g, n = graph
+    op = (assemble_neumann if neumann else assemble_dirichlet)(g, list(range(n)))
+    order = _elim.elimination_order(_pattern(op))
+    excess = op.excess[:, None] - np.asarray(POLES[::2]) / t
+    vec = nonneg_vector(n, seed)
+    together = _elim.gth_factor(op.offdiag, excess, order).solve_nonneg(vec)
+    assert together.shape == (n, excess.shape[1])
+    for k in range(excess.shape[1]):
+        alone = _elim.gth_factor(op.offdiag, excess[:, k], order).solve_nonneg(vec)
+        assert alone.shape == (n,)
+        assert np.array_equal(together[:, k], alone)
+
+
+@st.composite
+def layered_graphs(draw, max_n=40, max_exp=900):
+    """(graph, n): consecutive layers joined completely, so eliminating a
+    layer's vertex fills in the two layers next to it; power-of-two
+    weights and measures."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=10))
+    while sum(sizes) > max_n:
+        sizes.pop()
+    starts = np.cumsum([0] + sizes).tolist()
+    power = st.integers(-max_exp, max_exp).map(lambda k: Fraction(2) ** k)
+    edges = {(a, b): draw(power)
+             for r in range(len(sizes) - 1)
+             for a in range(starts[r], starts[r + 1])
+             for b in range(starts[r + 1], starts[r + 2])}
+    n = starts[-1]
+    measure = {v: Fraction(2) ** draw(st.integers(-4, 4)) for v in range(n)}
+    return WeightedGraph.from_data(edges, measure), n
+
+
+@settings(max_examples=25)
+@given(layered_graphs(), TIMES, st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_dense_fill_agrees_with_mpmath(graph, t, seed, neumann):
+    g, n = graph
+    op = (assemble_neumann if neumann else assemble_dirichlet)(g, list(range(n)))
+    e = SemigroupEngine(op)
+    vec = nonneg_vector(n, seed)
+    u = e.heat_vec(t, vec)
+    assert np.max(np.abs(u - mp_heat(e, t, vec))) <= 1e-12 * np.max(vec)
+    if neumann:
+        m = op.measure_vector
+        assert abs(float((u * m).sum()) - float((vec * m).sum())) <= 1e-12 * float((vec * m).sum())
+
+
+def test_factoring_allocates_little_beyond_the_factors():
+    # spheres of 1..17 vertices: n = 153, and every round of the dense
+    # middle fills in two whole spheres
+    op = assemble_neumann(antitree([r + 1 for r in range(17)]), list(range(153)))
+    excess = op.excess[:, None] - np.asarray(POLES[::2])
+    tracemalloc.start()
+    try:
+        factors = _elim.gth_factor(op.offdiag, excess)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = factors.pivots.nbytes + sum(a.nbytes for rnd in factors.rounds for a in rnd)
+    assert peak <= 3 * held + 2 ** 20
