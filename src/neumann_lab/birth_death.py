@@ -15,7 +15,9 @@ moment-type series  sum (sum_{k<=r} 1/b)^2 m(r+1).
 Series divergence can never be read off finitely many partial sums, so
 every boolean verdict requires a certificate: a comparison-style bound or
 an explicit caller assertion.  Without one the verdict is undetermined.
-Partial sums are computed exactly whenever rates and measures are rational.
+Partial sums and the alpha-harmonic recursion are exact whenever the data
+are rational; the recursion runs in mpmath otherwise.  The comb's tooth
+decay rate is a Dirichlet resolvent, solved by the library's engine.
 """
 
 from __future__ import annotations
@@ -23,13 +25,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import mpmath as mp
+import numpy as np
 
 from .analysis import HarmonicSolution
 from .errors import InputError, NeumannLabError, TruncationInsufficientError, UndeterminedClassificationError
 from .graphs import VertexFunction
+from .operators import assemble_dirichlet
+from .semigroup import SemigroupEngine
 
 __all__ = [
     "BdChain",
@@ -38,16 +43,11 @@ __all__ = [
     "BdClassification",
     "classify",
     "solve_alpha_harmonic",
-    "hamburger_series",
     "comb_beta_extraction",
     "CombBetaResult",
     "divergent",
     "convergent",
 ]
-
-# switch the float recursion to arbitrary-exponent arithmetic beyond this
-LOG_DOMAIN_SWITCH = 1e100
-
 
 @dataclass(frozen=True)
 class BdChain:
@@ -333,33 +333,15 @@ def classify(chain: BdChain, horizon: int,
     )
 
 
-def hamburger_series(chain: BdChain, horizon: int,
-                     certificate: SeriesCertificate | None = None) -> SeriesRecord:
-    """Partial sums of sum_r (sum_{k<=r} 1/b)^2 m(r+1) with its verdict.
-
-    Divergence is the exact essential-self-adjointness criterion for these
-    chains; it must be certified divergent whenever the chain is Feller.
-    """
-    if horizon < 1:
-        raise InputError("horizon must be >= 1")
-    cert = certificate or chain.certificates.get("hamburger")
-    inv = 0
-    partials = []
-    acc = 0
-    for r in range(horizon):
-        b = chain.rate_at(r)
-        inv = inv + (1 / Fraction(b) if isinstance(b, (int, Fraction)) else 1.0 / b)
-        acc = acc + inv * inv * chain.measure_at(r + 1)
-        partials.append(acc)
-    verdict = cert.verdict if cert is not None else "undetermined"
-    return SeriesRecord("hamburger", partials, verdict, cert)
-
-
 # -- alpha-harmonic recursion -------------------------------------------------
 
 
-def _is_exact(*values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
+def _mpf(value):
+    """value as an mpf at the working precision, rounded once to nearest
+    (``mp.mpf`` rejects a Fraction, so it is divided out exactly)."""
+    if isinstance(value, Fraction):
+        return mp.fdiv(value.numerator, value.denominator)
+    return mp.mpf(value)
 
 
 def solve_alpha_harmonic(chain: BdChain, alpha, u0, horizon: int) -> HarmonicSolution:
@@ -368,12 +350,14 @@ def solve_alpha_harmonic(chain: BdChain, alpha, u0, horizon: int) -> HarmonicSol
     u(1) = u(0)(1 + alpha m(0)/b(0,1)) and for r >= 1
     u(r+1) = u(r) + [ b(r-1,r)(u(r)-u(r-1)) + alpha m(r) u(r) ] / b(r,r+1).
 
-    For u0 > 0 the solution is strictly increasing (asserted).  Rational
-    inputs are solved exactly; the float path switches to arbitrary-
-    exponent arithmetic beyond 1e100 so ratios and boundedness verdicts
-    survive overflow.  Returns partial l1 sums together with the running
-    lower bounds alpha*u(0)*m(0) * sum_{k<r} (truncated tail)/b(k,k+1)
-    that they must dominate.
+    For u0 > 0 every increment u(r+1) - u(r) is positive (asserted).
+    Rational inputs are solved exactly.  Any other input lifts the whole
+    state to mpmath at its working precision (53 bits by default, which
+    rounds like binary64 but has an unbounded exponent), so values, ratios
+    and boundedness verdicts survive where floats would overflow or
+    underflow.  Returns partial l1 sums together with the running lower
+    bounds alpha*u(0)*m(0) * sum_{k<r} (truncated tail)/b(k,k+1) that they
+    must dominate.
     """
     if horizon < 2:
         raise InputError("horizon must be >= 2")
@@ -392,34 +376,27 @@ def solve_alpha_harmonic(chain: BdChain, alpha, u0, horizon: int) -> HarmonicSol
                                 lemma_lower_bounds=[0] * (horizon + 1),
                                 trivial=True)
 
-    exact = _is_exact(alpha, u0, *rates, *measures)
-    if exact:
-        alpha_n, u_prev = Fraction(alpha), Fraction(u0)
-        rates = [Fraction(b) for b in rates]
-        measures = [Fraction(m) for m in measures]
-    else:
-        alpha_n, u_prev = float(alpha), float(u0)
-        rates = [float(b) for b in rates]
-        measures = [float(m) for m in measures]
+    exact = all(isinstance(v, (int, Fraction)) for v in (alpha, u0, *rates, *measures))
+    lift = Fraction if exact else _mpf
+    alpha_n, u_prev = lift(alpha), lift(u0)
+    rates = [lift(b) for b in rates]
+    measures = [lift(m) for m in measures]
 
-    values = [u_prev]
-    u_curr = u_prev * (1 + alpha_n * measures[0] / rates[0])
-    values.append(u_curr)
-    lifted = False
+    lead = alpha_n * measures[0] / rates[0]
+    u_curr = u_prev * (1 + lead)
+    values = [u_prev, u_curr]
+    # the increments u(r+1) - u(r) as computed: the rounded values stop
+    # increasing once an increment drops below an ulp of u(r)
+    steps = [u_prev * lead]
     for r in range(1, horizon):
-        if not exact and not lifted and abs(u_curr) > LOG_DOMAIN_SWITCH:
-            # lift the whole state into unbounded-exponent arithmetic
-            u_prev, u_curr = mp.mpf(u_prev), mp.mpf(u_curr)
-            rates = [mp.mpf(b) for b in rates]
-            measures = [mp.mpf(m) for m in measures]
-            alpha_n = mp.mpf(alpha_n)
-            lifted = True
         step = (rates[r - 1] * (u_curr - u_prev) + alpha_n * measures[r] * u_curr) / rates[r]
         u_prev, u_curr = u_curr, u_curr + step
         values.append(u_curr)
-    for a, b in zip(values, values[1:]):
-        if not b > a:
-            raise NeumannLabError(f"alpha-harmonic solution failed to increase: {a!r} -> {b!r}")
+        steps.append(step)
+    for r, step in enumerate(steps):
+        if not step > 0:
+            raise NeumannLabError(
+                f"alpha-harmonic solution failed to increase at r = {r}: step {step!r}")
 
     partial_l1 = _partial_sums(v * m for v, m in zip(values, measures))
 
@@ -453,7 +430,7 @@ def solve_alpha_harmonic(chain: BdChain, alpha, u0, horizon: int) -> HarmonicSol
                             trivial=False)
 
 
-# -- comb construction --------------------------------------------------------
+# -- comb tooth decay ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -463,7 +440,6 @@ class CombBetaResult:
     beta: float
     spread: float
     depth: int
-    teeth: int
     window: tuple[int, int]
     ratios: list[float]
 
@@ -474,54 +450,34 @@ class CombBetaResult:
             "beta": self.beta,
             "spread": self.spread,
             "depth": self.depth,
-            "teeth": self.teeth,
             "window": list(self.window),
             "analytic_target": (3.0 - math.sqrt(5.0)) / 2.0,
         }
 
 
-def comb_beta_extraction(depth: int, teeth: int | None = None,
-                         spread_tol: float = 1e-9) -> CombBetaResult:
+def comb_beta_extraction(depth: int, spread_tol: float = 1e-9) -> CombBetaResult:
     """Decay rate of the 1-harmonic function along the comb's base tooth.
 
-    Solves (Delta + 1) u = 0 on a comb truncation with u(0,0) = 1 and decay
-    closure u = 0 outside (every edge's rate enters its row's pivot), then
-    fits the ratio u(k+1,0)/u(k,0) over the middle third of the tooth.  The interior recursion on tooth 0 is
-    3u(k) = u(k-1) + u(k+1), so the ratios converge to the decaying root of
-    x^2 - 3x + 1 = 0 regardless of the rest of the truncation; the window
-    spread certifies stabilization.
+    Solves (Delta + 1) u = 0 on the tooth's vertices (k, 0), 1 <= k <= depth,
+    with u(0,0) = 1 and u = 0 beyond the tooth's end.  Once u(0,0) is fixed
+    the tooth has no edge to the rest of the comb, so this is the resolvent
+    of the tooth's Dirichlet restriction applied to the origin's edge rate;
+    then the ratio u(k+1,0)/u(k,0) is fitted over the middle third of the
+    tooth.  The interior recursion 3u(k) = u(k-1) + u(k+1) drives the
+    ratios to the decaying root of x^2 - 3x + 1 = 0; the window spread
+    certifies stabilization.
     """
     from . import models
-    from ._elim import gth_factor
-    import numpy as np
 
     if depth < 6:
         raise InputError("depth must be >= 6")
-    if teeth is None:
-        teeth = max(2, min(10, depth // 5))
-    g = models.make_comb()
-    verts = models.comb_truncation(depth=depth, teeth=teeth)
-    origin = models.comb_vertex_id(0, 0)
-    others = [v for v in verts if v != origin]
-    index = {v: i for i, v in enumerate(others)}
-    offdiag = [dict() for _ in others]
-    excess = np.ones(len(others))  # alpha = 1, plus the rates leaving `others`
-    rhs = np.zeros(len(others))
-    for i, v in enumerate(others):
-        mv = g.measure(v)
-        for w, b in g.neighbors(v).items():
-            rate = float(Fraction(b) / Fraction(mv))
-            if w in index:
-                offdiag[i][index[w]] = rate
-            else:
-                # u(0,0) = 1 moves to the right-hand side; u = 0 outside
-                excess[i] += rate
-                if w == origin:
-                    rhs[i] += rate
-    factors = gth_factor(offdiag, excess)
-    solution = factors.solve_nonneg(rhs)
-    tooth = [1.0] + [float(solution[index[models.comb_vertex_id(k, 0)]])
-                     for k in range(1, depth + 1)]
+    tooth_ids = [models.comb_vertex_id(k, 0) for k in range(1, depth + 1)]
+    op = assemble_dirichlet(models.make_comb(), tooth_ids)
+    # u(0,0) = 1 moves to the right-hand side: the only edge leaving the
+    # tooth at (1, 0) goes to the origin, so its rate is that row's killing
+    rhs = np.zeros(depth)
+    rhs[0] = op.excess[0]
+    tooth = [1.0] + SemigroupEngine(op).resolvent_vec(1.0, rhs).tolist()
     lo, hi = depth // 3, 2 * depth // 3
     ratios = [tooth[k + 1] / tooth[k] for k in range(lo, hi)]
     spread = max(ratios) - min(ratios)
@@ -530,5 +486,5 @@ def comb_beta_extraction(depth: int, teeth: int | None = None,
             f"tooth ratios did not stabilize: spread {spread:.3e} over window "
             f"[{lo},{hi})", last_increment=spread)
     beta = sum(ratios) / len(ratios)
-    return CombBetaResult(beta=beta, spread=spread, depth=depth, teeth=teeth,
+    return CombBetaResult(beta=beta, spread=spread, depth=depth,
                           window=(lo, hi), ratios=ratios)

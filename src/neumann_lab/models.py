@@ -40,7 +40,6 @@ __all__ = [
     "comb_vertex_id",
     "comb_vertex_label",
     "comb_rectangle",
-    "comb_truncation",
     "make_bd_chain",
     "make_finite_path",
     "make_random_connected",
@@ -153,19 +152,6 @@ def _check_comb_exponent(exponent: int):
             f"comb truncation needs weights ~2^{exponent}, beyond the float cap "
             f"2^{FLOAT_EXP_CAP}; largest usable rectangle index is {cap}",
             usable_cap=cap)
-
-
-def comb_truncation(depth: int, teeth: int) -> list[int]:
-    """Truncation for the tooth-decay solve: tooth 0 to ``depth``, base rows
-    n <= teeth, tooth n capped so weights stay float-representable."""
-    if depth < 1 or teeth < 1:
-        raise InputError("depth and teeth must be >= 1")
-    verts = [comb_vertex_id(k, 0) for k in range(depth + 1)]
-    for n in range(1, teeth + 1):
-        verts.append(comb_vertex_id(0, n))
-        k_cap = min(depth, max(2, (FLOAT_EXP_CAP - 100) // n))
-        verts.extend(comb_vertex_id(k, n) for k in range(1, k_cap + 1))
-    return verts
 
 
 # -- expression-driven chains -------------------------------------------------
@@ -472,6 +458,16 @@ PRESETS: dict[str, Callable[[], Model]] = {
 }
 
 
+def _model_size(name: str, text: str, least: int) -> int:
+    try:
+        size = int(text)
+    except ValueError:
+        raise InputError(f"{name!r}: the size {text!r} is not an integer") from None
+    if size < least:
+        raise InputError(f"{name!r}: the size must be at least {least}")
+    return size
+
+
 def build_model(name: str, seed: int | None = None) -> Model:
     """Resolve a model name: preset, ``random[:n]``, ``path:n`` or ``file:path``."""
     if name in PRESETS:
@@ -489,11 +485,9 @@ def build_model(name: str, seed: int | None = None) -> Model:
         return Model(graph=g, spec=ModelSpec("file", {"path": path}, "hop-balls"),
                      origin=origin)
     if name.startswith("path:"):
-        return make_finite_path(int(name[5:]))
+        return make_finite_path(_model_size(name, name[5:], 1))
     if name.startswith("random"):
-        size = 60
-        if ":" in name:
-            size = int(name.split(":", 1)[1])
+        size = _model_size(name, name.split(":", 1)[1], 2) if ":" in name else 60
         if seed is None:
             raise InputError("random model needs --seed")
         return make_random_connected(seed, max_vertices=size)

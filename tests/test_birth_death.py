@@ -11,7 +11,6 @@ from neumann_lab.birth_death import (
     comb_beta_extraction,
     convergent,
     divergent,
-    hamburger_series,
     solve_alpha_harmonic,
 )
 from neumann_lab.errors import (
@@ -160,14 +159,40 @@ class TestAlphaHarmonic:
             assert abs(u[i] - expect) <= 1e-10 * abs(expect)
 
     def test_float_path_switches_beyond_overflow(self):
-        # float rates, solution grows past 1e308: the arbitrary-exponent
-        # lift must keep values finite and increasing
+        # float rates, solution grows past 1e308: the mpmath state's
+        # unbounded exponent must keep values finite and increasing
         chain = BdChain(rate=lambda r: 1.0, measure=lambda r: 1.0, name="float-unit")
         sol = solve_alpha_harmonic(chain, 1.0, 1.0, 900)
         last = sol.values(900)
         assert last > 1e300
         assert sol.values(899) < last  # mpf comparison, float() would overflow
         assert sol.residual <= 1e-9
+
+    @pytest.mark.parametrize("name,horizon", [("bd:geo", 80), ("bd:explosive", 100)])
+    def test_float_alpha_on_exact_chain_matches_exact_solve(self, name, horizon):
+        # the solution converges, so its increments fall below an ulp of
+        # u(r): the rounded values stop increasing while every increment
+        # the recursion computes stays positive
+        chain = models.PRESETS[name]().chain
+        inexact = solve_alpha_harmonic(chain, 1.0, 1.0, horizon)
+        exact = solve_alpha_harmonic(chain, 1, 1, horizon)
+        assert inexact.values(horizon) == inexact.values(horizon - 1)
+        for r in range(horizon + 1):
+            want = float(exact.values(r))
+            # forward rounding error of the recursion: 2.4e-15 on bd:geo
+            assert abs(float(inexact.values(r)) - want) <= 5e-15 * want
+
+    def test_float_alpha_beyond_float_rates(self):
+        # rates 4^r pass 2^1024 from r = 512 on; the first 100 values agree
+        # with the exact solve
+        chain = models.PRESETS["bd:explosive"]().chain
+        sol = solve_alpha_harmonic(chain, 1.0, 1.0, 600)
+        exact = solve_alpha_harmonic(chain, 1, 1, 100)
+        assert sol.residual <= 1e-15
+        for r in range(101):
+            want = float(exact.values(r))
+            assert abs(float(sol.values(r)) - want) <= 5e-15 * want
+        assert sol.values(600) == sol.values(100)
 
     def test_bounded_vs_divergent_partial_sums(self):
         # l1-harmonic existence <=> bounded partial sums (geo chain);
@@ -191,18 +216,18 @@ class TestHamburger:
     def test_unit_chain_partial_sums(self):
         # terms (r+1)^2: partials 1, 5, 14, 30
         m = models.PRESETS["bd:unit"]()
-        rec = hamburger_series(m.chain, 4)
+        rec = classify(m.chain, 4).hamburger
         assert [int(p) for p in rec.partial_sums] == [1, 5, 14, 30]
         assert rec.verdict == "divergent"
 
     def test_single_term(self):
         chain = BdChain(rate=lambda r: Fraction(2), measure=lambda r: Fraction(3))
-        rec = hamburger_series(chain, 1)
+        rec = classify(chain, 1).hamburger
         assert rec.partial_sums[0] == Fraction(3, 4)  # (1/2)^2 * 3
 
     def test_geo_chain_certified_convergent(self):
         m = models.PRESETS["bd:geo"]()
-        rec = hamburger_series(m.chain, 60)
+        rec = classify(m.chain, 60).hamburger
         assert rec.verdict == "convergent"
         # summands shrink geometrically: partial sums nearly constant
         assert float(rec.partial_sums[-1] - rec.partial_sums[-2]) < 1e-12

@@ -59,9 +59,19 @@ class TestExperiments:
         code, payload = run_cli(capsys, "--model", "comb",
                                 "--experiment", "comb-beta", "--depth", "40")
         assert code == 0
-        assert abs(payload["beta"] - (3 - math.sqrt(5)) / 2) <= 1e-8
+        assert abs(payload["beta"] - (3 - math.sqrt(5)) / 2) <= 1e-14
+        assert "teeth" not in payload
         assert payload["status"] == "ok"
         assert payload["schema"] == 1
+
+    @pytest.mark.parametrize("model", ["random:1", "random:0", "random:x", "path:abc"])
+    def test_malformed_model_size_exits_1(self, capsys, model):
+        code, payload = run_cli(capsys, "--model", model, "--seed", "1",
+                                "--experiment", "ec")
+        assert code == 1
+        assert payload["status"] == "error"
+        assert payload["error_kind"] == "input-error"
+        assert model in payload["reason"]
 
     def test_comb_beta_too_shallow_exits_2(self, capsys):
         code, payload = run_cli(capsys, "--model", "comb",
