@@ -12,7 +12,6 @@ Dirichlet semigroup gap.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,16 +23,17 @@ from .convergence import (
     _extended,
     _self_consistent,
     _truncation,
+    dirichlet_reference,
     dirichlet_resolvent_reference,
 )
 from .errors import InputError, NeumannLabError
-from .graphs import Exhaustion, VertexFunction, WeightedGraph, formal_laplacian, weighted_degree
+from .graphs import (Exhaustion, VertexFunction, WeightedGraph, formal_laplacian,
+                     hop_distances, weighted_degree)
 from .operators import assemble_dirichlet, assemble_neumann
 from .semigroup import SemigroupEngine
 
 __all__ = [
     "FellerReport",
-    "HarmonicSolution",
     "UniformL1Result",
     "feller_estimate",
     "semigroup_gap",
@@ -78,25 +78,6 @@ class FellerReport:
 
 
 @dataclass(frozen=True)
-class HarmonicSolution:
-    """A solution of (Delta + alpha) u = 0 on a computed region.
-
-    ``residual`` is the sup of |(Delta + alpha) u| over the interior where
-    all neighbor values are known; ``partial_l1`` the running sums
-    sum_{r <= horizon} u(r) m(r).  Exact rational inputs yield exact
-    entries.  ``lemma_lower_bounds``, when present, carry the running
-    tail-sum lower bounds that l1 partial sums must dominate.
-    """
-
-    alpha: float
-    values: VertexFunction
-    residual: float
-    partial_l1: list
-    lemma_lower_bounds: list | None = None
-    trivial: bool = False
-
-
-@dataclass(frozen=True)
 class UniformL1Result:
     """Value and bound for the uniform-in-time l1 estimate."""
 
@@ -105,22 +86,6 @@ class UniformL1Result:
     horizon: float
     grid_size: int
     kind: str
-
-
-def hop_distances(g: WeightedGraph, subset: Sequence[int], source: int) -> dict[int, int]:
-    """BFS hop distance from the source within the induced subset."""
-    inside = set(subset)
-    if source not in inside:
-        raise InputError("source vertex not inside the subset")
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y in inside and y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
 
 
 def _largest_two(g: WeightedGraph, exhaustion: Exhaustion, f: VertexFunction, action):
@@ -136,8 +101,7 @@ def _largest_two(g: WeightedGraph, exhaustion: Exhaustion, f: VertexFunction, ac
 def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
                     x: int, kind: str = "dirichlet",
                     tol: float = DEFAULT_REFERENCE_TOL,
-                    self_tol: float = 1e-6,
-                    name: str = "") -> FellerReport:
+                    self_tol: float = 1e-6) -> FellerReport:
     """Resolvent decay profile of delta_x = 1_x/m(x) outside nested hop balls.
 
     The Dirichlet variant takes the monotone truncation limit as reference;
@@ -184,7 +148,7 @@ def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
         ball_radii=radii,
         sup_outside=sup_outside,
         verdict_hint=hint,
-        metadata={"graph": name or g.name, "kind": kind, "tol": tol,
+        metadata={"graph": g.name, "kind": kind, "tol": tol,
                   "threshold": threshold, "reference_info": info},
     )
 
@@ -203,8 +167,6 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
         raise InputError("t must be positive")
     if len(exhaustion.sets) < 2:
         raise InputError("need at least two exhaustion sets")
-    from .convergence import dirichlet_reference
-
     one_x = VertexFunction.indicator(x)
     d_ref, d_info = dirichlet_reference(g, exhaustion, t, one_x, tol)
     prev, n_map = _largest_two(g, exhaustion, one_x,
@@ -302,21 +264,20 @@ def uniform_l1_check(g: WeightedGraph, subset: Sequence[int], horizon: float,
 
 
 def resolvent_via_heat_quadrature(engine: SemigroupEngine, alpha: float,
-                                  vec: np.ndarray, panels: int = 25,
-                                  nodes: int = 8) -> np.ndarray:
+                                  vec: np.ndarray) -> np.ndarray:
     """Laplace-transform route to the resolvent: integral of e^{-alpha t} P_t v.
 
-    Composite Gauss-Legendre on [0, 40/alpha] with cubically graded panels
-    (fine near t = 0, where stiff spectral components spike); the discarded
-    tail is below e^{-40} ||v||.  Cross-validates the direct solve on
-    moderate graphs.
+    Composite 8-point Gauss-Legendre on [0, 40/alpha] with 25 cubically
+    graded panels (fine near t = 0, where stiff spectral components spike);
+    the discarded tail is below e^{-40} ||v||.  Cross-validates the direct
+    solve on moderate graphs.
     """
     if alpha <= 0:
         raise InputError("alpha must be positive")
     upper = 40.0 / alpha
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs, ws = np.polynomial.legendre.leggauss(8)
     out = np.zeros_like(np.asarray(vec, dtype=float))
-    edges = upper * (np.arange(panels + 1) / panels) ** 3
+    edges = upper * (np.arange(26) / 25) ** 3
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         for xi, wi in zip(xs, ws):

@@ -30,7 +30,6 @@ from typing import Callable
 import mpmath as mp
 import numpy as np
 
-from .analysis import HarmonicSolution
 from .errors import InputError, NeumannLabError, TruncationInsufficientError, UndeterminedClassificationError
 from .graphs import VertexFunction
 from .operators import assemble_dirichlet
@@ -42,6 +41,7 @@ __all__ = [
     "SeriesRecord",
     "BdClassification",
     "classify",
+    "HarmonicSolution",
     "solve_alpha_harmonic",
     "comb_beta_extraction",
     "CombBetaResult",
@@ -53,17 +53,17 @@ __all__ = [
 class BdChain:
     """Birth-death chain data: rate(r) = b(r, r+1) > 0 and measure m(r) > 0.
 
-    ``measure_total`` is the exact total mass when finite and known;
-    ``measure_tail(r)`` returns m({r+1, r+2, ...}) when a closed form
-    exists.  ``certificates`` carries default series certificates for the
-    classifier (keys: "measure", "inv_b", "tail", "hamburger").
+    ``measure_total`` is the total mass when finite and known; the
+    classifier reads the tail masses m({r+1, r+2, ...}) off it, so without
+    it the tail series has no partial sums.  ``certificates`` carries
+    default series certificates for the classifier (keys: "measure",
+    "inv_b", "tail", "hamburger").
     """
 
     rate: Callable[[int], object]
     measure: Callable[[int], object]
     name: str = "bd"
     measure_total: object | None = None
-    measure_tail: Callable[[int], object] | None = None
     certificates: dict = field(default_factory=dict)
 
     def rate_at(self, r: int):
@@ -223,16 +223,14 @@ def _partial_sums(terms) -> list:
 
 
 def _tail_mass(chain: BdChain, r: int, prefix_mass):
-    """m(B_r^c) from the exact total or the supplied tail function."""
-    if chain.measure_total is not None:
-        tail = chain.measure_total - prefix_mass
-        if tail < 0:
-            raise InputError(
-                f"measure_total {chain.measure_total} smaller than prefix mass at r={r}")
-        return tail
-    if chain.measure_tail is not None:
-        return chain.measure_tail(r)
-    return None
+    """m(B_r^c) from the total mass; None when the total is not known."""
+    if chain.measure_total is None:
+        return None
+    tail = chain.measure_total - prefix_mass
+    if tail < 0:
+        raise InputError(
+            f"measure_total {chain.measure_total} smaller than prefix mass at r={r}")
+    return tail
 
 
 def classify(chain: BdChain, horizon: int,
@@ -336,6 +334,25 @@ def classify(chain: BdChain, horizon: int,
 # -- alpha-harmonic recursion -------------------------------------------------
 
 
+@dataclass(frozen=True)
+class HarmonicSolution:
+    """A solution of (Delta + alpha) u = 0 on a computed region.
+
+    ``residual`` is the sup of |(Delta + alpha) u| over the interior where
+    all neighbor values are known; ``partial_l1`` the running sums
+    sum_{r <= horizon} u(r) m(r).  Exact rational inputs yield exact
+    entries.  ``lemma_lower_bounds``, when present, carry the running
+    tail-sum lower bounds that l1 partial sums must dominate.
+    """
+
+    alpha: float
+    values: VertexFunction
+    residual: float
+    partial_l1: list
+    lemma_lower_bounds: list | None = None
+    trivial: bool = False
+
+
 def _mpf(value):
     """value as an mpf at the working precision, rounded once to nearest
     (``mp.mpf`` rejects a Fraction, so it is divided out exactly)."""
@@ -432,6 +449,12 @@ def solve_alpha_harmonic(chain: BdChain, alpha, u0, horizon: int) -> HarmonicSol
 
 # -- comb tooth decay ---------------------------------------------------------
 
+# the decaying root of x^2 - 3x + 1, the tooth's analytic decay rate
+COMB_BETA = (3.0 - math.sqrt(5.0)) / 2.0
+
+# deepest tooth whose window end k = 2*depth//3 keeps beta^k a normal float
+MAX_COMB_DEPTH = (3 * int(math.log(np.finfo(float).tiny) / math.log(COMB_BETA)) + 2) // 2
+
 
 @dataclass(frozen=True)
 class CombBetaResult:
@@ -451,7 +474,7 @@ class CombBetaResult:
             "spread": self.spread,
             "depth": self.depth,
             "window": list(self.window),
-            "analytic_target": (3.0 - math.sqrt(5.0)) / 2.0,
+            "analytic_target": COMB_BETA,
         }
 
 
@@ -465,12 +488,17 @@ def comb_beta_extraction(depth: int, spread_tol: float = 1e-9) -> CombBetaResult
     then the ratio u(k+1,0)/u(k,0) is fitted over the middle third of the
     tooth.  The interior recursion 3u(k) = u(k-1) + u(k+1) drives the
     ratios to the decaying root of x^2 - 3x + 1 = 0; the window spread
-    certifies stabilization.
+    certifies stabilization.  Deeper than ``MAX_COMB_DEPTH`` the window's
+    tooth values underflow, so such depths are rejected.
     """
     from . import models
 
     if depth < 6:
         raise InputError("depth must be >= 6")
+    if depth > MAX_COMB_DEPTH:
+        raise InputError(
+            f"depth must be <= {MAX_COMB_DEPTH}: deeper, beta^k at the window end "
+            f"k = 2*depth//3 falls below the smallest normal float")
     tooth_ids = [models.comb_vertex_id(k, 0) for k in range(1, depth + 1)]
     op = assemble_dirichlet(models.make_comb(), tooth_ids)
     # u(0,0) = 1 moves to the right-hand side: the only edge leaving the

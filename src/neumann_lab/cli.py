@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="seed for random models")
     p.add_argument("--certify", default=None,
                    help="series certificates 'inv_b=divergent:note,measure=infinite'")
-    p.add_argument("--depth", type=int, default=40, help="tooth depth for comb-beta")
+    p.add_argument("--depth", type=int, default=40,
+                   help=f"tooth depth for comb-beta, 6 to {birth_death.MAX_COMB_DEPTH}")
     p.add_argument("--x", type=int, default=None,
                    help="source vertex id (default: the model's origin)")
     p.add_argument("--grid", type=int, default=64, help="time grid size for uniform-l1")
@@ -123,24 +124,21 @@ def parse_certificates(text: str | None) -> dict:
 
 
 def default_truncations(model: models.Model) -> list[int]:
-    rule = model.spec.exhaustion_rule
-    if rule == "comb-rectangles":
+    if model.family == "comb":
         return list(range(2, 9))
-    if rule == "chain-prefixes":
+    if model.family == "bd":
         return list(range(10, 201, 10))
     size = len(model.graph)
     return list(range(0, max(1, size)))
 
 
-def reference_indices(model: models.Model, indices: list[int], factor: int = 4) -> list[int]:
+def reference_indices(model: models.Model, indices: list[int]) -> list[int]:
     """Continue an exhaustion so the reference exceeds the largest iterate
-    by ~factor in vertex count (capped by float representability)."""
+    by ~4x in vertex count (capped by float representability)."""
     top = max(indices)
-    rule = model.spec.exhaustion_rule
-    if rule == "comb-rectangles":
-        # vertex count of rectangle j grows ~2j^2
-        goal = max(top + 1, int(top * factor ** 0.5) + 1)
-        cap = goal
+    if model.family == "comb":
+        # vertex count of rectangle j grows ~2j^2, so doubling j gives ~4x
+        cap = 2 * top + 1
         while cap > top:
             try:
                 models.comb_rectangle(cap)
@@ -148,8 +146,8 @@ def reference_indices(model: models.Model, indices: list[int], factor: int = 4) 
             except OverflowCapError as ex:
                 cap = ex.usable_cap
         return list(range(top, cap + 1)) if cap > top else [top]
-    if rule == "chain-prefixes":
-        goal = top * factor
+    if model.family == "bd":
+        goal = top * 4
         try:
             models._check_chain_cap(model, goal)
         except OverflowCapError as ex:
@@ -237,8 +235,7 @@ def run(args) -> tuple[dict, object]:
             op, engine, vec = convergence._truncation(g, ref_ex.sets[0], phi)
             reference = VertexFunction(convergence._extended(op, engine.heat_vec(args.t, vec)))
         report = convergence.neumann_convergence_experiment(
-            g, ex, args.t, phi, reference=reference, alpha=args.alpha,
-            probe=x, name=model.name)
+            g, ex, args.t, phi, reference=reference, alpha=args.alpha, probe=x)
     elif args.experiment in ("dirichlet-gap", "l1-defect"):
         experiment = (convergence.dirichlet_gap_experiment
                       if args.experiment == "dirichlet-gap"
@@ -246,11 +243,10 @@ def run(args) -> tuple[dict, object]:
         ref_ex = models.make_exhaustion(
             model, 0, indices=reference_indices(model, indices))
         report = experiment(g, ex, args.t, phi, ref_exhaustion=ref_ex, tol=args.tol,
-                            probe=x, name=model.name)
+                            probe=x)
     elif args.experiment == "feller":
         alpha = args.alpha if args.alpha is not None else 1.0
-        report = analysis.feller_estimate(g, ex, alpha, x, kind=args.kind,
-                                          tol=args.tol, name=model.name)
+        report = analysis.feller_estimate(g, ex, alpha, x, kind=args.kind, tol=args.tol)
     elif args.experiment == "gap":
         gap, info = analysis.semigroup_gap(g, ex, args.t, x, tol=args.tol)
         report = {"schema": 1, "experiment": "gap", "t": args.t, "source": x,
@@ -264,7 +260,7 @@ def run(args) -> tuple[dict, object]:
         certs = parse_certificates(args.certify)
         report = birth_death.classify(model.chain, args.horizon, certs)
     elif args.experiment == "comb-beta":
-        if model.spec.family != "comb":
+        if model.family != "comb":
             raise InputError("comb-beta runs on the comb model")
         report = birth_death.comb_beta_extraction(args.depth)
     elif args.experiment == "uniform-l1":
@@ -275,9 +271,11 @@ def run(args) -> tuple[dict, object]:
                   "grid": res.grid_size, "kind": res.kind,
                   "metadata": {"graph": model.name, "subset_size": len(subset)}}
     elif args.experiment == "ec":
-        if model.spec.exhaustion_rule == "chain-prefixes":
+        if args.horizon < 1:
+            raise InputError("horizon must be >= 1")
+        if model.family == "bd":
             window = list(range(args.horizon + 1))
-        elif model.spec.family == "comb":
+        elif model.family == "comb":
             window = models.comb_rectangle(min(args.horizon, 8))
         else:
             window = list(g.vertices())

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError, NeumannLabError, TruncationInsufficientError
 from .graphs import Exhaustion, VertexFunction, WeightedGraph
-from .operators import OperatorKind, assemble_dirichlet, assemble_neumann
+from .operators import assemble_dirichlet, assemble_neumann
 from .semigroup import SemigroupEngine
 
 __all__ = [
@@ -275,8 +275,7 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
                                    reference: VertexFunction | None = None,
                                    alpha: float | None = None,
                                    probe: int | None = None,
-                                   self_tol: float = 1e-6,
-                                   name: str = "") -> ConvergenceReport:
+                                   self_tol: float = 1e-6) -> ConvergenceReport:
     """Distance curves of Neumann truncations against a Neumann reference.
 
     With ``reference=None`` the last exhaustion set provides the reference
@@ -330,7 +329,7 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
         pointwise_distance=points,
         alpha=alpha,
         quadratic_pairings=None if alpha is None else [p for _, p, _ in results],
-        metadata={"graph": name or g.name, "probe": probe,
+        metadata={"graph": g.name, "probe": probe,
                   "clamped_entries": sum(c for _, _, c in results) + ref_clamps,
                   "self_tol": self_tol},
     )
@@ -340,8 +339,7 @@ def dirichlet_gap_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
                              phi: VertexFunction,
                              ref_exhaustion: Exhaustion | None = None,
                              tol: float = DEFAULT_REFERENCE_TOL,
-                             probe: int | None = None,
-                             name: str = "") -> ConvergenceReport:
+                             probe: int | None = None) -> ConvergenceReport:
     """Distances of Neumann truncations to the Dirichlet monotone limit.
 
     A floor that persists across truncations is evidence (never proof) that
@@ -376,7 +374,7 @@ def dirichlet_gap_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
         pointwise_distance=points,
         gap_floor=l2s[-1],
         floor_threshold=threshold,
-        metadata={"graph": name or g.name, "probe": probe,
+        metadata={"graph": g.name, "probe": probe,
                   "clamped_entries": clamps, "tol": tol,
                   "reference_info": ref_info,
                   "gap_slope": slope,
@@ -389,8 +387,7 @@ def l1_defect_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
                          phi: VertexFunction,
                          ref_exhaustion: Exhaustion | None = None,
                          tol: float = DEFAULT_REFERENCE_TOL,
-                         probe: int | None = None,
-                         name: str = "") -> ConvergenceReport:
+                         probe: int | None = None) -> ConvergenceReport:
     """l1 distances d_k = |P_N phi - P_D(ref) phi|_1 with the two-sided
     theoretical envelope.
 
@@ -442,7 +439,7 @@ def l1_defect_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
         pointwise_distance=points,
         l1_bounds=bounds,
         stochastic_defect=defect,
-        metadata={"graph": name or g.name, "probe": probe,
+        metadata={"graph": g.name, "probe": probe,
                   "clamped_entries": clamps, "tol": tol,
                   "reference_info": ref_info},
     )

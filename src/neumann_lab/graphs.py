@@ -37,6 +37,7 @@ __all__ = [
     "formal_laplacian",
     "weighted_degree",
     "vertex_boundary",
+    "hop_distances",
     "is_connected",
     "parse_graph_file",
     "write_graph_file",
@@ -327,21 +328,28 @@ def vertex_boundary(g: WeightedGraph, subset: Iterable[int]) -> set[int]:
     return out
 
 
-def is_connected(g: WeightedGraph, subset: Iterable[int]) -> bool:
-    """True iff the subgraph induced on the finite subset is connected."""
+def hop_distances(g: WeightedGraph, subset: Iterable[int], source: int) -> dict[int, int]:
+    """BFS hop distance from the source within the induced subset."""
     inside = set(subset)
-    if not inside:
-        return True
-    start = next(iter(inside))
-    seen = {start}
-    queue = deque([start])
+    if source not in inside:
+        raise InputError("source vertex not inside the subset")
+    dist = {source: 0}
+    queue = deque([source])
     while queue:
         x = queue.popleft()
+        step = dist[x] + 1
         for y in g._row(x):
-            if y in inside and y not in seen:
-                seen.add(y)
+            if y in inside and y not in dist:
+                dist[y] = step
                 queue.append(y)
-    return seen == inside
+    return dist
+
+
+def is_connected(g: WeightedGraph, subset: Iterable[int]) -> bool:
+    """True iff the subgraph induced on the finite subset is connected: a BFS
+    from any of its vertices reaches all of them."""
+    inside = set(subset)
+    return not inside or len(hop_distances(g, inside, next(iter(inside)))) == len(inside)
 
 
 # -- file format -------------------------------------------------------------

@@ -10,11 +10,13 @@ Families:
 * ``bd``: birth-death chains on 0, 1, 2, ... given by rate and measure
   sequences, either closed-form presets or restricted arithmetic
   expressions in r evaluated exactly in rational arithmetic.
-* ``path`` / ``random``: finite paths and seeded random connected graphs
-  for the invariant corpus.
+* ``path`` / ``random``: finite unit-weight paths and seeded random
+  connected graphs for the invariant corpus.
+* ``file``: a finite graph read from the line-oriented graph format.
 
-Exhaustion rules: prefixes for chains, growing rectangles
-{(k, n): k <= 2j, n <= j} for the comb, hop balls otherwise.
+A :class:`Model` names its family, and the family alone fixes the
+exhaustion rule: growing rectangles {(k, n): k <= 2j, n <= j} for the comb,
+prefixes for chains (``bd``), hop balls around the origin otherwise.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from typing import Callable, Sequence
 import mpmath as mp
 import numpy as np
 
-from .birth_death import BdChain, SeriesCertificate, convergent, divergent
+from .birth_death import BdChain, convergent, divergent
 from .errors import InputError, OverflowCapError
-from .graphs import Exhaustion, WeightedGraph
+from .graphs import Exhaustion, WeightedGraph, hop_distances, parse_graph_file
 from .operators import FLOAT_EXP_CAP
 
 __all__ = [
-    "ModelSpec",
     "Model",
     "make_comb",
     "comb_vertex_id",
@@ -51,18 +52,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    family: str               # "comb" | "bd" | "path" | "random" | "file"
-    parameters: dict
-    exhaustion_rule: str      # "comb-rectangles" | "chain-prefixes" | "hop-balls"
-
-
-@dataclass(frozen=True)
 class Model:
     """A graph plus the metadata experiments need to address it."""
 
     graph: WeightedGraph
-    spec: ModelSpec
+    family: str               # "comb" | "bd" | "path" | "random" | "file"
     origin: int = 0
     chain: BdChain | None = None
 
@@ -241,15 +235,10 @@ def parse_sequence_expr(expr: str) -> Callable[[int], Fraction]:
                 f"power in {expr!r} at r={r} would exceed {MAX_POWER_BITS} bits")
         return left ** exponent
 
-    def fn(r: int) -> Fraction:
-        return evaluate(tree, r)
-
-    fn.expression = expr
-    return fn
+    return lambda r: evaluate(tree, r)
 
 
-def make_bd_chain(rate, measure, name: str = "bd", *,
-                  measure_total=None, measure_tail=None,
+def make_bd_chain(rate, measure, name: str = "bd", *, measure_total=None,
                   certificates: dict | None = None) -> Model:
     """Birth-death chain model; rate/measure as expressions or callables.
 
@@ -264,8 +253,7 @@ def make_bd_chain(rate, measure, name: str = "bd", *,
         if measure_fn(r) <= 0:
             raise InputError(f"measure expression nonpositive at r={r}")
     chain = BdChain(rate=rate_fn, measure=measure_fn, name=name,
-                    measure_total=measure_total, measure_tail=measure_tail,
-                    certificates=certificates or {})
+                    measure_total=measure_total, certificates=certificates or {})
 
     def neighbors(v: int) -> dict:
         out = {v + 1: chain.rate_at(v)}
@@ -278,23 +266,19 @@ def make_bd_chain(rate, measure, name: str = "bd", *,
         measure_fn=chain.measure_at,
         name=name,
     )
-    spec = ModelSpec("bd", {"rate": getattr(rate_fn, "expression", "<callable>"),
-                            "measure": getattr(measure_fn, "expression", "<callable>")},
-                     "chain-prefixes")
-    return Model(graph=graph, spec=spec, origin=0, chain=chain)
+    return Model(graph=graph, family="bd", chain=chain)
 
 
 # -- finite families ----------------------------------------------------------
 
 
-def make_finite_path(n: int, b=1, m=1, c=0) -> Model:
+def make_finite_path(n: int) -> Model:
+    """Path 0 - 1 - ... - n-1 with unit weights and measure, no killing."""
     if n < 1:
         raise InputError("path needs at least one vertex")
-    edges = {(i, i + 1): b for i in range(n - 1)}
-    measure = {i: m for i in range(n)}
-    killing = {i: c for i in range(n)} if c else None
-    g = WeightedGraph.from_data(edges, measure, killing, name=f"path-{n}")
-    return Model(graph=g, spec=ModelSpec("path", {"n": n}, "hop-balls"), origin=0)
+    edges = {(i, i + 1): 1 for i in range(n - 1)}
+    g = WeightedGraph.from_data(edges, {i: 1 for i in range(n)}, name=f"path-{n}")
+    return Model(graph=g, family="path")
 
 
 def make_random_connected(seed: int, max_vertices: int = 60,
@@ -317,8 +301,7 @@ def make_random_connected(seed: int, max_vertices: int = 60,
             if rng.random() < 0.3:
                 killing[v] = float(rng.uniform(0.0, 0.5))
     g = WeightedGraph.from_data(edges, measure, killing, name=f"random-{seed}")
-    return Model(graph=g, spec=ModelSpec("random", {"seed": seed, "n": n}, "hop-balls"),
-                 origin=0)
+    return Model(graph=g, family="random")
 
 
 # -- exhaustions --------------------------------------------------------------
@@ -333,19 +316,17 @@ def make_exhaustion(model: Model, count: int,
     """
     if count < 1 and not indices:
         raise InputError("count must be >= 1")
-    rule = model.spec.exhaustion_rule
     g = model.graph
-    if rule == "comb-rectangles":
+    if model.family == "comb":
         idx = list(indices) if indices is not None else list(range(count))
         sets = [comb_rectangle(j) for j in idx]
-    elif rule == "chain-prefixes":
+    elif model.family == "bd":
         sizes = list(indices) if indices is not None else list(range(1, count + 1))
         if any(s < 1 for s in sizes):
             raise InputError("prefix sizes must be >= 1")
         _check_chain_cap(model, max(sizes))
         sets = [list(range(s)) for s in sizes]
-    elif rule == "hop-balls":
-        from .analysis import hop_distances
+    else:
         verts = list(g.vertices())
         dist = hop_distances(g, verts, model.origin)
         radii = list(indices) if indices is not None else list(range(count))
@@ -354,8 +335,6 @@ def make_exhaustion(model: Model, count: int,
             ball = [v for v in verts if dist.get(v, math.inf) <= r]
             ball.sort(key=lambda v: (dist[v], v))
             sets.append(ball)
-    else:
-        raise InputError(f"unknown exhaustion rule {rule!r}")
     return Exhaustion.build(g, sets)
 
 
@@ -412,7 +391,6 @@ def _tail_rate_chain() -> Model:
     return make_bd_chain(
         rate=tail, measure=measure, name="bd:tail",
         measure_total=float(mp.pi ** 2 / 6),
-        measure_tail=tail,
         certificates={
             "measure": "finite",
             "inv_b": divergent("1/b(r) grows like r", power=-1.0),
@@ -423,9 +401,7 @@ def _tail_rate_chain() -> Model:
 
 
 def _preset_comb() -> Model:
-    return Model(graph=make_comb(),
-                 spec=ModelSpec("comb", {}, "comb-rectangles"),
-                 origin=comb_vertex_id(0, 0))
+    return Model(graph=make_comb(), family="comb", origin=comb_vertex_id(0, 0))
 
 
 PRESETS: dict[str, Callable[[], Model]] = {
@@ -440,7 +416,6 @@ PRESETS: dict[str, Callable[[], Model]] = {
     "bd:geo": lambda: make_bd_chain(
         "2**r", "2**(-r)", name="bd:geo",
         measure_total=Fraction(2),
-        measure_tail=lambda r: Fraction(1, 2 ** r),
         certificates={
             "measure": "finite",
             "inv_b": convergent("geometric", ratio=0.5),
@@ -473,7 +448,6 @@ def build_model(name: str, seed: int | None = None) -> Model:
     if name in PRESETS:
         return PRESETS[name]()
     if name.startswith("file:"):
-        from .graphs import parse_graph_file
         path = name[5:]
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -481,9 +455,7 @@ def build_model(name: str, seed: int | None = None) -> Model:
         except OSError as ex:
             raise InputError(f"cannot read graph file {path!r}: {ex}") from ex
         g = parse_graph_file(text, name=path)
-        origin = min(g.vertices())
-        return Model(graph=g, spec=ModelSpec("file", {"path": path}, "hop-balls"),
-                     origin=origin)
+        return Model(graph=g, family="file", origin=min(g.vertices()))
     if name.startswith("path:"):
         return make_finite_path(_model_size(name, name[5:], 1))
     if name.startswith("random"):

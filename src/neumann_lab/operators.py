@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError, OverflowCapError
-from .graphs import VertexFunction, WeightedGraph, is_connected
+from .graphs import VertexFunction, WeightedGraph, formal_laplacian, is_connected
 
 __all__ = [
     "OperatorKind",
@@ -266,8 +266,6 @@ def laplacian_identity_check(g: WeightedGraph, subset: Sequence[int],
     c = 0 (single vertex with killing is a counterexample).  Returns the
     worst absolute mismatch over the subset; algebraically zero.
     """
-    from .graphs import formal_laplacian
-
     op = assemble_neumann(g, subset)
     vec = op.local_vector(f)
     applied = op.apply(vec)

@@ -79,7 +79,6 @@ class SemigroupEngine:
     def __init__(self, op: RestrictedOperator):
         self.operator = op
         self.telemetry = _Telemetry()
-        self._gth_cache: dict[float, _elim.GTHFactors] = {}
 
     @property
     def mode(self) -> str:
@@ -127,11 +126,8 @@ class SemigroupEngine:
         """(L + alpha)^{-1} vec via subtraction-free elimination."""
         if alpha <= 0:
             raise InputError(f"resolvent parameter must be positive, got {alpha}")
-        fac = self._gth_cache.get(alpha)
-        if fac is None:
-            op = self.operator
-            fac = _elim.gth_factor(op.offdiag, op.excess + alpha)
-            self._gth_cache[alpha] = fac
+        op = self.operator
+        fac = _elim.gth_factor(op.offdiag, op.excess + alpha)
         return fac.solve(np.asarray(vec, dtype=float))
 
     def resolvent_residual(self, alpha: float, u: np.ndarray, f: np.ndarray) -> float:

@@ -53,6 +53,19 @@ class TestParsing:
         assert reference_indices(explosive, indices) == list(range(200, 501, 25))
         assert reference_indices(unit, indices) == list(range(200, 801, 50))
 
+    def test_comb_reference_indices(self):
+        comb = models.PRESETS["comb"]()
+        # the goal 2j + 1 roughly quadruples the vertex count of rectangle j
+        assert reference_indices(comb, list(range(2, 9))) == list(range(8, 18))
+        # goals beyond the float cap stop at the largest usable rectangle, 22
+        assert reference_indices(comb, [12]) == list(range(12, 23))
+        assert reference_indices(comb, [22]) == [22]
+
+    @pytest.mark.parametrize("name", ["path:9", "random:40"])
+    def test_hop_ball_reference_indices_unchanged(self, name):
+        model = models.build_model(name, seed=4)
+        assert reference_indices(model, [0, 1, 3]) == [0, 1, 3]
+
 
 class TestExperiments:
     def test_comb_beta(self, capsys):
@@ -80,6 +93,21 @@ class TestExperiments:
         assert payload["status"] == "error"
         assert payload["error_kind"] == "truncation-insufficient"
         assert "last_increment" in payload
+
+    def test_comb_beta_depth_at_the_underflow_bound(self, capsys):
+        code, payload = run_cli(capsys, "--model", "comb",
+                                "--experiment", "comb-beta", "--depth", "1105")
+        assert code == 0
+        assert payload["window"] == [368, 736]
+
+    @pytest.mark.parametrize("depth", ["1106", "1150", "1200"])
+    def test_comb_beta_beyond_the_underflow_bound_exits_1(self, capsys, depth):
+        # beta^k at the window end k = 2*depth//3 would be a subnormal float
+        code, payload = run_cli(capsys, "--model", "comb",
+                                "--experiment", "comb-beta", "--depth", depth)
+        assert code == 1
+        assert payload["error_kind"] == "input-error"
+        assert "1105" in payload["reason"]
 
     def test_classify_preset(self, capsys):
         code, payload = run_cli(capsys, "--model", "bd:unit",
@@ -125,6 +153,14 @@ class TestExperiments:
                                 "--horizon", "4")
         assert code == 0
         assert payload["constant"] > 1e3
+
+    @pytest.mark.parametrize("horizon", ["-1", "0"])
+    def test_ec_empty_window_exits_1(self, capsys, horizon):
+        code, payload = run_cli(capsys, "--model", "bd:unit", "--experiment", "ec",
+                                "--horizon", horizon)
+        assert code == 1
+        assert payload["error_kind"] == "input-error"
+        assert "horizon" in payload["reason"]
 
     def test_uniform_l1(self, capsys):
         code, payload = run_cli(capsys, "--model", "bd:unit",
