@@ -29,7 +29,7 @@ from .convergence import (
 from .errors import InputError, NeumannLabError
 from .graphs import (Exhaustion, VertexFunction, WeightedGraph, formal_laplacian,
                      hop_distances, weighted_degree)
-from .operators import assemble_dirichlet, assemble_neumann
+from .operators import _exact_ratio, _float_guard, assemble_dirichlet, assemble_neumann
 from .semigroup import SemigroupEngine
 
 __all__ = [
@@ -200,18 +200,19 @@ def minimum_principle_lower_bound(g: WeightedGraph, t: float, x: int) -> float:
 def ec_constant(g: WeightedGraph, window: Sequence[int]) -> float:
     """max b(x,y) / (m(x) m(y)) over pairs in the window (0 if edgeless).
 
-    A uniform bound over growing windows is the edge condition; an
-    unbounded sequence of window constants certifies its failure.
+    A uniform bound over the sets of an exhaustion is the edge condition;
+    an unbounded sequence of constants certifies its failure.  The ratios
+    are exact on exact data; a maximum beyond the float cap raises
+    ``OverflowCapError``.
     """
-    verts = list(window)
-    inside = set(verts)
-    best = 0.0
-    for v in verts:
-        mv = float(g.measure(v))
+    inside = set(window)
+    best = 0
+    for v in inside:
+        mv = g.measure(v)
         for w, b in g.neighbors(v).items():
             if w in inside:
-                best = max(best, float(b) / (mv * float(g.measure(w))))
-    return best
+                best = max(best, _exact_ratio(b, mv * g.measure(w)))
+    return _float_guard(best, "edge-condition constant")
 
 
 def uniform_l1_check(g: WeightedGraph, subset: Sequence[int], horizon: float,

@@ -44,11 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None,
                    help="resolvent parameter (enables pairing columns)")
     p.add_argument("--horizon", type=int, default=1000,
-                   help="series horizon for classify; window size for ec")
+                   help="series horizon for classify, at least 1")
     p.add_argument("--truncations", default=None,
                    help="exhaustion parameters: 'a:b[:step]' inclusive, or 'i,j,k'; "
-                        "rectangle indices for the comb, prefix sizes for chains, "
-                        "hop radii otherwise")
+                        "rectangle indices for the comb (default 2:8), prefix sizes "
+                        "for chains (10:200:10), hop radii otherwise (all); every "
+                        "experiment but classify and comb-beta runs on these sets")
     p.add_argument("--ref", type=int, default=None,
                    help="explicit reference truncation parameter (default: "
                         "self-consistency or 4x extension)")
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="source vertex id (default: the model's origin)")
     p.add_argument("--grid", type=int, default=64, help="time grid size for uniform-l1")
     p.add_argument("--kind", choices=("dirichlet", "neumann"), default="dirichlet",
-                   help="restriction kind for feller")
+                   help="restriction kind for feller and uniform-l1")
     p.add_argument("--rate", default=None,
                    help="rate expression in r for --model bd:custom, e.g. '4**r'")
     p.add_argument("--measure", default=None,
@@ -123,60 +124,17 @@ def parse_certificates(text: str | None) -> dict:
     return out
 
 
-def default_truncations(model: models.Model) -> list[int]:
-    if model.family == "comb":
-        return list(range(2, 9))
-    if model.family == "bd":
-        return list(range(10, 201, 10))
-    size = len(model.graph)
-    return list(range(0, max(1, size)))
-
-
-def reference_indices(model: models.Model, indices: list[int]) -> list[int]:
-    """Continue an exhaustion so the reference exceeds the largest iterate
-    by ~4x in vertex count (capped by float representability)."""
-    top = max(indices)
-    if model.family == "comb":
-        # vertex count of rectangle j grows ~2j^2, so doubling j gives ~4x
-        cap = 2 * top + 1
-        while cap > top:
-            try:
-                models.comb_rectangle(cap)
-                break
-            except OverflowCapError as ex:
-                cap = ex.usable_cap
-        return list(range(top, cap + 1)) if cap > top else [top]
-    if model.family == "bd":
-        goal = top * 4
-        try:
-            models._check_chain_cap(model, goal)
-        except OverflowCapError as ex:
-            goal = ex.usable_cap
-        step = max(1, (goal - top) // 12)
-        return list(range(top, goal + 1, step))
-    return indices
-
-
 def _csv_text(columns, rows) -> str:
+    """CSV with a header row; ``None`` cells are written empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def _tidy_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("k", "metric", "value"))
-    for k, metric, value in rows:
-        writer.writerow((k, metric, value))
-    return buf.getvalue()
-
-
-def _report_files(report) -> tuple[str | None, str | None]:
-    """CSV and tidy-CSV payloads for the report types that have rows."""
+def _report_rows(report):
+    """(columns, rows, tidy (k, metric, value) rows), or None without rows."""
     if isinstance(report, convergence.ConvergenceReport):
         cols = report.CSV_COLUMNS
         rows = [[r[c] for c in cols] for r in report.rows()]
@@ -185,12 +143,10 @@ def _report_files(report) -> tuple[str | None, str | None]:
             for metric in ("l1", "l2", "pointwise", "pairing", "bound"):
                 if r[metric] is not None:
                     tidy.append((r["k"], metric, r[metric]))
-        return _csv_text(cols, rows), _tidy_text(tidy)
+        return cols, rows, tidy
     if isinstance(report, analysis.FellerReport):
-        cols = ("radius", "sup_outside")
         rows = list(zip(report.ball_radii, report.sup_outside))
-        tidy = [(r, "sup_outside", s) for r, s in rows]
-        return _csv_text(cols, rows), _tidy_text(tidy)
+        return ("radius", "sup_outside"), rows, [(r, "sup_outside", s) for r, s in rows]
     if isinstance(report, birth_death.BdClassification):
         cols = ("r", "inv_b_partial", "tail_partial", "hamburger_partial")
         series = (report.series_inv_b, report.series_tail, report.hamburger)
@@ -199,17 +155,18 @@ def _report_files(report) -> tuple[str | None, str | None]:
                 for r in range(len(report.series_inv_b.partial_sums))]
         tidy = [(row[0], metric, value) for row in rows
                 for metric, value in zip(cols[1:], row[1:]) if value is not None]
-        return _csv_text(cols, rows), _tidy_text(tidy)
+        return cols, rows, tidy
     if isinstance(report, birth_death.CombBetaResult):
         lo = report.window[0]
         rows = [(lo + i, ratio) for i, ratio in enumerate(report.ratios)]
-        return (_csv_text(("k", "ratio"), rows),
-                _tidy_text([(k, "ratio", v) for k, v in rows]))
-    return None, None
+        return ("k", "ratio"), rows, [(k, "ratio", v) for k, v in rows]
+    return None
 
 
 def run(args) -> tuple[dict, object]:
     """Execute the configured experiment; returns (json payload, report)."""
+    if args.horizon < 1:
+        raise InputError("horizon must be >= 1")
     if args.model == "bd:custom":
         if not args.rate or not args.measure:
             raise InputError("bd:custom needs --rate and --measure expressions")
@@ -219,12 +176,10 @@ def run(args) -> tuple[dict, object]:
     g = model.graph
     x = args.x if args.x is not None else model.origin
     indices = (parse_truncations(args.truncations) if args.truncations
-               else default_truncations(model))
+               else models.default_indices(model))
     phi = VertexFunction.indicator(x)
-    on_exhaustion = args.experiment not in ("classify", "comb-beta", "ec")
-    ex = None
-    if on_exhaustion or args.dump_matrix and args.experiment == "ec":
-        ex = models.make_exhaustion(model, 0, indices=indices)
+    on_exhaustion = args.experiment not in ("classify", "comb-beta")
+    ex = models.make_exhaustion(model, 0, indices=indices) if on_exhaustion else None
 
     if args.experiment == "neumann-convergence":
         reference = None
@@ -241,7 +196,7 @@ def run(args) -> tuple[dict, object]:
                       if args.experiment == "dirichlet-gap"
                       else convergence.l1_defect_experiment)
         ref_ex = models.make_exhaustion(
-            model, 0, indices=reference_indices(model, indices))
+            model, 0, indices=models.reference_indices(model, indices))
         report = experiment(g, ex, args.t, phi, ref_exhaustion=ref_ex, tol=args.tol,
                             probe=x)
     elif args.experiment == "feller":
@@ -265,23 +220,17 @@ def run(args) -> tuple[dict, object]:
         report = birth_death.comb_beta_extraction(args.depth)
     elif args.experiment == "uniform-l1":
         subset = ex.sets[-1]
-        res = analysis.uniform_l1_check(g, subset, args.t, phi, grid=args.grid)
+        res = analysis.uniform_l1_check(g, subset, args.t, phi, grid=args.grid,
+                                        kind=args.kind)
         report = {"schema": 1, "experiment": "uniform-l1", "T": args.t,
                   "value": res.value, "bound": res.bound,
                   "grid": res.grid_size, "kind": res.kind,
                   "metadata": {"graph": model.name, "subset_size": len(subset)}}
     elif args.experiment == "ec":
-        if args.horizon < 1:
-            raise InputError("horizon must be >= 1")
-        if model.family == "bd":
-            window = list(range(args.horizon + 1))
-        elif model.family == "comb":
-            window = models.comb_rectangle(min(args.horizon, 8))
-        else:
-            window = list(g.vertices())
-        value = analysis.ec_constant(g, window)
-        report = {"schema": 1, "experiment": "ec", "constant": value,
-                  "window_size": len(window),
+        constants = [analysis.ec_constant(g, subset) for subset in ex.sets]
+        sizes = [len(subset) for subset in ex.sets]
+        report = {"schema": 1, "experiment": "ec", "constant": constants[-1],
+                  "window_size": sizes[-1], "sizes": sizes, "constants": constants,
                   "metadata": {"graph": model.name}}
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown experiment {args.experiment!r}")
@@ -310,13 +259,13 @@ def _emit(payload: dict, report, out_prefix: str | None):
         return
     with open(out_prefix + ".json", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    csv_text, tidy_text = _report_files(report)
-    if csv_text is not None:
+    tables = _report_rows(report)
+    if tables is not None:
+        columns, rows, tidy = tables
         with open(out_prefix + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    if tidy_text is not None:
+            fh.write(_csv_text(columns, rows))
         with open(out_prefix + "_tidy.csv", "w", encoding="utf-8") as fh:
-            fh.write(tidy_text)
+            fh.write(_csv_text(("k", "metric", "value"), tidy))
 
 
 def main(argv=None) -> int:
@@ -335,11 +284,9 @@ def main(argv=None) -> int:
     except NeumannLabError as ex:
         _emit_error(args, ex, "invariant-violation")
         return 1
-    if isinstance(report, birth_death.BdClassification) and report.undetermined:
-        _emit(payload, report, args.out)
-        return 3
     _emit(payload, report, args.out)
-    return 0
+    undetermined = isinstance(report, birth_death.BdClassification) and report.undetermined
+    return 3 if undetermined else 0
 
 
 def _emit_error(args, ex: Exception, kind: str):
@@ -360,12 +307,7 @@ def _emit_error(args, ex: Exception, kind: str):
     cap = getattr(ex, "usable_cap", None)
     if cap is not None:
         payload["usable_cap"] = cap
-    text = json.dumps(payload, indent=2, default=float)
-    if args.out is None:
-        print(text)
-    else:
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _emit(payload, None, args.out)
 
 
 if __name__ == "__main__":

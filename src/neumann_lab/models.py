@@ -14,9 +14,10 @@ Families:
   connected graphs for the invariant corpus.
 * ``file``: a finite graph read from the line-oriented graph format.
 
-A :class:`Model` names its family, and the family alone fixes the
-exhaustion rule: growing rectangles {(k, n): k <= 2j, n <= j} for the comb,
-prefixes for chains (``bd``), hop balls around the origin otherwise.
+A :class:`Model` names its family, and this module owns the family rules:
+the exhaustion (growing rectangles {(k, n): k <= 2j, n <= j} for the comb,
+prefixes for chains (``bd``), hop balls around the origin otherwise), its
+default parameters and its reference continuation.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ __all__ = [
     "make_finite_path",
     "make_random_connected",
     "make_exhaustion",
+    "default_indices",
+    "reference_indices",
     "parse_sequence_expr",
     "build_model",
     "PRESETS",
@@ -123,7 +126,7 @@ def comb_rectangle(j: int) -> list[int]:
     """Vertex ids of {(k, n): k <= 2j, n <= j}, new-level ordering by (n, k)."""
     if j < 0:
         raise InputError("rectangle index must be nonnegative")
-    _check_comb_exponent(j * max(2 * j - 1, 0))
+    _check_comb_cap(j)
     out = []
     for jj in range(j + 1):
         # vertices new to level jj, sorted by (n, k)
@@ -137,7 +140,8 @@ def comb_rectangle(j: int) -> list[int]:
     return out
 
 
-def _check_comb_exponent(exponent: int):
+def _check_comb_cap(j: int):
+    exponent = j * max(2 * j - 1, 0)
     if exponent > FLOAT_EXP_CAP:
         cap = 0
         while (cap + 1) * max(2 * (cap + 1) - 1, 0) <= FLOAT_EXP_CAP:
@@ -336,6 +340,36 @@ def make_exhaustion(model: Model, count: int,
             ball.sort(key=lambda v: (dist[v], v))
             sets.append(ball)
     return Exhaustion.build(g, sets)
+
+
+def default_indices(model: Model) -> list[int]:
+    """Rectangles 2..8 for the comb, prefixes 10..200 for chains, else every
+    hop radius of the (finite) graph."""
+    if model.family == "comb":
+        return list(range(2, 9))
+    if model.family == "bd":
+        return list(range(10, 201, 10))
+    return list(range(max(1, len(model.graph))))
+
+
+def reference_indices(model: Model, indices: Sequence[int]) -> list[int]:
+    """Continue an exhaustion so the reference exceeds the largest iterate
+    by ~4x in vertex count (capped by float representability)."""
+    top = max(indices)
+    if model.family not in ("comb", "bd"):
+        return list(indices)
+    comb = model.family == "comb"
+    # vertex count of rectangle j grows ~2j^2, so doubling j gives ~4x
+    goal = 2 * top + 1 if comb else 4 * top
+    try:
+        if comb:
+            _check_comb_cap(goal)
+        else:
+            _check_chain_cap(model, goal)
+    except OverflowCapError as ex:
+        goal = max(ex.usable_cap, top)
+    step = 1 if comb else max(1, (goal - top) // 12)
+    return list(range(top, goal + 1, step))
 
 
 def _check_chain_cap(model: Model, size: int):

@@ -13,7 +13,7 @@ from neumann_lab.analysis import (
     semigroup_gap,
     uniform_l1_check,
 )
-from neumann_lab.errors import InputError, TruncationInsufficientError
+from neumann_lab.errors import InputError, OverflowCapError, TruncationInsufficientError
 from neumann_lab.graphs import Exhaustion, VertexFunction, formal_laplacian
 from neumann_lab.operators import assemble_dirichlet, assemble_neumann
 from neumann_lab.semigroup import SemigroupEngine
@@ -168,6 +168,15 @@ class TestEdgeCondition:
         from neumann_lab.graphs import WeightedGraph
         g = WeightedGraph.from_data({}, {0: 1})
         assert ec_constant(g, [0]) == 0.0
+
+    def test_constant_beyond_the_float_cap_is_typed(self):
+        # b(r, r+1)/(m(r) m(r+1)) = 2^r / 2^{-2r-1} = 2^{3r+1}: 2^595 on the
+        # prefix of 200, 2^2995 on the prefix of 1000, where m(r) m(r+1)
+        # alone is below the smallest float
+        g = models.PRESETS["bd:geo"]().graph
+        assert ec_constant(g, range(200)) == 2.0 ** (3 * 198 + 1)
+        with pytest.raises(OverflowCapError, match="float cap"):
+            ec_constant(g, range(1000))
 
 
 class TestUniformL1:

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from neumann_lab import models
-from neumann_lab.cli import main, parse_certificates, parse_truncations, reference_indices
+from neumann_lab.cli import EXPERIMENTS, main, parse_certificates, parse_truncations
+from neumann_lab.models import reference_indices
 from neumann_lab.errors import InputError
 
 
@@ -154,6 +155,41 @@ class TestExperiments:
         assert code == 0
         assert payload["constant"] > 1e3
 
+    def test_ec_runs_on_the_exhaustion(self, capsys):
+        code, payload = run_cli(capsys, "--model", "path:12", "--experiment", "ec",
+                                "--truncations", "0:3", "--dump-matrix")
+        assert code == 0
+        assert payload["sizes"] == [1, 2, 3, 4]
+        assert payload["constants"] == [0.0, 1.0, 1.0, 1.0]
+        assert payload["window_size"] == 4
+        assert payload["constant"] == 1.0
+        assert payload["config"]["truncations"] == [0, 1, 2, 3]
+        # the dumped matrix is the set the constant was computed on
+        assert payload["matrix_dump"].startswith("# kind=neumann n=4\n")
+
+    def test_ec_comb_window_follows_the_truncations(self, capsys):
+        code, payload = run_cli(capsys, "--model", "comb", "--experiment", "ec",
+                                "--truncations", "2:10")
+        assert code == 0
+        assert payload["sizes"][-1] == payload["window_size"] == 231
+        steps = payload["constants"]
+        assert all(b > a for a, b in zip(steps, steps[1:]))
+
+    @pytest.mark.parametrize("model", ["bd:geo", "bd:explosive"])
+    def test_ec_on_fast_chains(self, capsys, model):
+        code, payload = run_cli(capsys, "--model", model, "--experiment", "ec")
+        assert code == 0
+        assert payload["window_size"] == 200
+        assert len(payload["constants"]) == 20
+
+    def test_ec_constant_beyond_the_float_cap_exits_1(self, capsys):
+        # on bd:geo, b/(m m) = 2^{3r+1} passes 2^1000 at the prefix r = 400
+        code, payload = run_cli(capsys, "--model", "bd:geo", "--experiment", "ec",
+                                "--truncations", "100:1000:100")
+        assert code == 1
+        assert payload["error_kind"] == "input-error"
+        assert "float cap" in payload["reason"]
+
     @pytest.mark.parametrize("horizon", ["-1", "0"])
     def test_ec_empty_window_exits_1(self, capsys, horizon):
         code, payload = run_cli(capsys, "--model", "bd:unit", "--experiment", "ec",
@@ -167,6 +203,15 @@ class TestExperiments:
                                 "--experiment", "uniform-l1", "--t", "0.5",
                                 "--truncations", "30", "--grid", "16")
         assert code == 0
+        assert payload["value"] <= payload["bound"] + 1e-9
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+    def test_uniform_l1_honours_kind(self, capsys, kind):
+        code, payload = run_cli(capsys, "--model", "comb",
+                                "--experiment", "uniform-l1", "--truncations", "2:5",
+                                "--kind", kind)
+        assert code == 0
+        assert payload["kind"] == payload["config"]["kind"] == kind
         assert payload["value"] <= payload["bound"] + 1e-9
 
     def test_feller_neumann_floor(self, capsys):
@@ -323,6 +368,30 @@ class TestExperiments:
         assert code == 0
         assert "matrix_dump" in payload
         assert payload["matrix_dump"].startswith("# kind=neumann")
+
+
+SMOKE_MODELS = {
+    "comb": ["--model", "comb", "--truncations", "2:4"],
+    "bd:unit": ["--model", "bd:unit", "--truncations", "5:20:5"],
+    "bd:geo": ["--model", "bd:geo", "--truncations", "5:20:5"],
+    "bd:explosive": ["--model", "bd:explosive", "--truncations", "5:20:5"],
+    "bd:tail": ["--model", "bd:tail", "--truncations", "5:20:5"],
+    "bd:custom": ["--model", "bd:custom", "--rate", "(r+1)**2", "--measure", "1",
+                  "--truncations", "5:20:5"],
+    "path:12": ["--model", "path:12", "--truncations", "0:3"],
+    "random:30": ["--model", "random:30", "--seed", "1", "--truncations", "0:3"],
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@pytest.mark.parametrize("model", list(SMOKE_MODELS))
+def test_every_experiment_reports_on_every_family(capsys, model, experiment):
+    """No traceback escapes: each run exits 0-3 with one strict-JSON payload."""
+    code, payload = run_cli(capsys, *SMOKE_MODELS[model], "--experiment", experiment)
+    assert code in (0, 1, 2, 3)
+    assert payload["status"] in ("ok", "error")
+    if code == 0:
+        assert payload["status"] == "ok"
 
 
 class TestDeterminism:

@@ -66,3 +66,16 @@ def test_models_does_not_import_the_experiments():
     imported = {target for target, _ in package_imports(PACKAGE / "models.py")}
     assert "birth_death" in imported
     assert not imported & {"analysis", "convergence"}
+
+
+def test_cli_leaves_the_family_rules_to_models():
+    """The exhaustion, its defaults and its reference continuation are
+    ``models``' rules: the CLI reads no private ``models`` name, and reads a
+    model's family only to gate ``comb-beta``."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    private = [node.attr for node in attributes
+               if isinstance(node.value, ast.Name) and node.value.id == "models"
+               and node.attr.startswith("_")]
+    assert private == []
+    assert sum(node.attr == "family" for node in attributes) == 1
