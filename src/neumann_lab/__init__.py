@@ -26,16 +26,11 @@ from .operators import (
     RestrictedOperator,
     assemble_dirichlet,
     assemble_neumann,
-    evaluate_form,
-    laplacian_identity_check,
 )
 from .semigroup import (
     ResolventResult,
     SemigroupEngine,
-    heat_apply,
-    heat_oracle,
     resolvent_apply,
-    variational_value,
 )
 
 __version__ = "0.1.0"

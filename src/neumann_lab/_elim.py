@@ -19,29 +19,21 @@ order, so it runs in rounds of pairwise non-adjacent low-degree vertices
   conjugate pair, 7 shifts, is factored together.  Pivots keep the row
   sums they carry, so the O(1) components on huge-degree vertices are not
   cancelled away and float64 suffices.
-
-:func:`cf_heat_mp` solves the same approximation by Gaussian elimination in
-mpmath, at a precision scaled to the dynamic range.  It is the reference
-that tests compare :func:`cf_heat` against; no engine calls it.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
 from itertools import chain
 
-import mpmath as mp
 import numpy as np
 
 from ._expcf import POLES, RESIDUES
 
-__all__ = ["elimination_order", "GTHFactors", "gth_factor", "cf_heat",
-           "cf_heat_mp", "stiff_dps"]
+__all__ = ["elimination_order", "GTHFactors", "gth_factor", "cf_heat"]
 
-# mpmath's precision state is process-global, so concurrent reference solves
-# at different working precisions would corrupt each other
+# unused here; kept only because bench/spans.py wraps it (ROADMAP item 3)
 _MP_LOCK = threading.Lock()
 
 
@@ -119,11 +111,10 @@ class GTHFactors:
 _CHUNK = 1 << 14
 
 
-def gth_factor(offdiag: list[dict[int, float]], excess: np.ndarray,
-               order: list[dict[int, list[int]]] | None = None) -> GTHFactors:
+def gth_factor(offdiag: list[dict[int, float]], excess: np.ndarray) -> GTHFactors:
     """Eliminate the matrices with rows ``diag_i = sum_j offdiag[i][j] + excess_i``,
-    off-diagonal entries ``-offdiag[i][j]``, in the rounds of ``order`` (by
-    default :func:`elimination_order` of ``offdiag``'s pattern).
+    off-diagonal entries ``-offdiag[i][j]``, in the rounds of
+    :func:`elimination_order` of ``offdiag``'s pattern.
 
     ``offdiag`` values must be nonnegative, on a symmetric pattern.
     ``excess`` is (n,) for one shift or (n, K) for K shifts factored together.
@@ -137,8 +128,7 @@ def gth_factor(offdiag: list[dict[int, float]], excess: np.ndarray,
     shape = exc.shape
     k = math.prod(shape[1:])
     exc = exc.astype(dtype).reshape(n, k)
-    if order is None:
-        order = elimination_order([set(r) for r in offdiag])
+    order = elimination_order([set(r) for r in offdiag])
     # entry e pairs a vertex i with a neighbour b live at i's round, in
     # elimination order; every entry that is ever live is (i, b), kept in
     # coef[e], or (b, i), kept in coef[E + e] and turned into b's multiplier
@@ -196,81 +186,8 @@ def cf_heat(offdiag: list[dict[int, float]], excess: np.ndarray, t: float,
     vec = np.asarray(vec, dtype=float)
     if t == 0.0:
         return vec.copy()
-    order = elimination_order([set(r) for r in offdiag])
     shifts = np.asarray(POLES[::2]) / t
-    x = gth_factor(offdiag, np.asarray(excess, dtype=float)[:, None] - shifts, order)
+    x = gth_factor(offdiag, np.asarray(excess, dtype=float)[:, None] - shifts)
     weights = (np.asarray(RESIDUES[::2]) + np.conj(RESIDUES[1::2])) / t
     return (x.solve_nonneg(vec) * weights).real.sum(axis=1)
 
-
-def stiff_dps(scale: float, t: float = 1.0) -> int:
-    """Working precision (decimal digits) for the high-precision heat path."""
-    magnitude = max(scale * max(t, 1.0), 1.0)
-    return 35 + max(0, int(math.log10(magnitude)))
-
-
-def _to_mpf(value):
-    """Exact lift of int/Fraction/float into the current mp precision."""
-    if isinstance(value, Fraction):
-        return mp.mpf(value.numerator) / value.denominator
-    if isinstance(value, int):
-        return mp.mpf(value)
-    return mp.mpf(value)
-
-
-def cf_heat_mp(offdiag_exact: list[dict[int, object]], excess_exact: list[object],
-               t: float, vec: np.ndarray, scale: float) -> np.ndarray:
-    """u ~= exp(-tA) vec for A = diag(rowsum + excess) - offdiag.
-
-    Entries of ``offdiag_exact``/``excess_exact`` may be int, Fraction or
-    float; they are lifted exactly into working precision chosen from
-    ``scale``.  Cost is one shifted sparse solve per table pole.
-    """
-    n = len(offdiag_exact)
-    if t == 0.0:
-        return np.array(vec, dtype=float)
-    order = elimination_order([set(r.keys()) for r in offdiag_exact])
-    out = np.zeros(n)
-    with _MP_LOCK, mp.workdps(stiff_dps(scale, t)):
-        tt = mp.mpf(t)
-        base_rows = []
-        diag0 = []
-        for i in range(n):
-            row = {j: -tt * _to_mpf(b) for j, b in offdiag_exact[i].items()}
-            base_rows.append(row)
-            diag0.append(tt * (sum(_to_mpf(b) for b in offdiag_exact[i].values())
-                               + _to_mpf(excess_exact[i])))
-        acc = [mp.mpc(0)] * n
-        for pole, resid in zip(POLES, RESIDUES):
-            pm = mp.mpc(pole)
-            rows = [dict(r) for r in base_rows]
-            d = [diag0[i] - pm for i in range(n)]
-            f = [mp.mpc(float(vec[i])) for i in range(n)]
-            elim = []
-            for i in chain.from_iterable(order):
-                nbrs = list(rows[i].items())
-                elim.append((i, nbrs, d[i]))
-                fi = f[i]
-                di = d[i]
-                for a, _ in nbrs:
-                    mult = rows[a].pop(i) / di
-                    f[a] -= mult * fi
-                    arow = rows[a]
-                    for bj, coef in nbrs:
-                        if bj == a:
-                            d[a] -= mult * coef
-                        else:
-                            arow[bj] = arow.get(bj, 0) - mult * coef
-                rows[i] = None
-            x = [None] * n
-            for i, nbrs, di in reversed(elim):
-                s = f[i]
-                for j, coef in nbrs:
-                    s -= coef * x[j]
-                x[i] = s / di
-            wm = mp.mpc(resid)
-            for i in range(n):
-                acc[i] += wm * x[i]
-        for i in range(n):
-            out[i] = float(mp.re(acc[i]))
-    return out

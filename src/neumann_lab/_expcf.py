@@ -19,9 +19,7 @@ coefficients, Blaschke correction) and are pinned here for reproducibility;
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["POLES", "RESIDUES", "CF_UNIFORM_ERROR", "rational_exp"]
+__all__ = ["POLES", "RESIDUES", "CF_UNIFORM_ERROR"]
 
 POLES = (
     complex(-5.623171534758011, -1.1940664287007021),
@@ -60,11 +58,3 @@ RESIDUES = (
 # measured sup-norm defect of the table on [0, inf)
 CF_UNIFORM_ERROR = 5e-14
 
-
-def rational_exp(x) -> np.ndarray:
-    """Evaluate the pole/residue sum at nonnegative scalar or array x."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape, dtype=complex)
-    for p, w in zip(POLES, RESIDUES):
-        out = out + w / (x - p)
-    return out.real

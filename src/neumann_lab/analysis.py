@@ -4,9 +4,8 @@ Numerics cannot certify asymptotic properties like C0-conservativity from a
 single truncation; the estimators here report decay profiles and verdict
 hints, leaving theorem-grade claims to the closed-form birth-death
 classifiers.  What can be checked exactly at desk scale are inequalities:
-the minimum-principle lower bound, the uniform l1 bound over a time window,
-the edge-condition constant, and the nonnegativity of the Neumann-minus-
-Dirichlet semigroup gap.
+the uniform l1 bound over a time window, the edge-condition constant, and
+the nonnegativity of the Neumann-minus-Dirichlet semigroup gap.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .convergence import (
 )
 from .errors import InputError, NeumannLabError
 from .graphs import (Exhaustion, VertexFunction, WeightedGraph, formal_laplacian,
-                     hop_distances, weighted_degree)
+                     hop_distances)
 from .operators import _exact_ratio, _float_guard, assemble_dirichlet, assemble_neumann
 from .semigroup import SemigroupEngine
 
@@ -37,10 +36,8 @@ __all__ = [
     "UniformL1Result",
     "feller_estimate",
     "semigroup_gap",
-    "minimum_principle_lower_bound",
     "ec_constant",
     "uniform_l1_check",
-    "resolvent_via_heat_quadrature",
     "hop_distances",
 ]
 
@@ -90,12 +87,13 @@ class UniformL1Result:
 
 def _largest_two(g: WeightedGraph, exhaustion: Exhaustion, f: VertexFunction, action):
     """``action(engine, vec)`` on the Neumann restrictions to the two largest
-    exhaustion sets, each extended by zero."""
-    outs = []
+    exhaustion sets, each extended by zero, and the two engines' clamps."""
+    outs, clamps = [], 0
     for subset in exhaustion.sets[-2:]:
         op, engine, vec = _truncation(g, subset, f)
         outs.append(_extended(op, action(engine, vec)))
-    return outs
+        clamps += engine.telemetry.clamped_entries
+    return outs, clamps
 
 
 def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
@@ -117,7 +115,7 @@ def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
     elif kind == "neumann":
         if len(exhaustion.sets) < 2:
             raise InputError("neumann variant needs at least two exhaustion sets")
-        prev, ref_map = _largest_two(
+        (prev, ref_map), _ = _largest_two(
             g, exhaustion, delta, lambda engine, vec: engine.resolvent_vec(alpha, vec))
         info = {"self_distance": _self_consistent(
             g, [prev, ref_map], self_tol, "neumann resolvent reference")}
@@ -160,8 +158,8 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
 
     Nonnegative up to 1e-10 by semigroup domination; strict positivity
     everywhere is evidence that the two forms differ.  Returns
-    (VertexFunction, info) where info records the max gap and the
-    references' convergence data.
+    (VertexFunction, info) where info records the max gap, the references'
+    convergence data and the positivity clamps of both references.
     """
     if t <= 0:
         raise InputError("t must be positive")
@@ -169,8 +167,8 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
         raise InputError("need at least two exhaustion sets")
     one_x = VertexFunction.indicator(x)
     d_ref, d_info = dirichlet_reference(g, exhaustion, t, one_x, tol)
-    prev, n_map = _largest_two(g, exhaustion, one_x,
-                               lambda engine, vec: engine.heat_vec(t, vec))
+    (prev, n_map), n_clamps = _largest_two(g, exhaustion, one_x,
+                                           lambda engine, vec: engine.heat_vec(t, vec))
     self_dist = _self_consistent(g, [prev, n_map], self_tol, "neumann heat reference")
     d_map = d_ref.values
     gap = {}
@@ -186,15 +184,9 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
         "self_distance": self_dist,
         "dirichlet_info": d_info,
         "tol": tol,
+        "clamped_entries": d_info["clamped_entries"] + n_clamps,
     }
     return VertexFunction(gap), info
-
-
-def minimum_principle_lower_bound(g: WeightedGraph, t: float, x: int) -> float:
-    """e^{-t Deg(x)}: the on-diagonal heat value can never fall below this."""
-    if t < 0:
-        raise InputError("t must be nonnegative")
-    return math.exp(-t * float(weighted_degree(g, x)))
 
 
 def ec_constant(g: WeightedGraph, window: Sequence[int]) -> float:
@@ -263,25 +255,3 @@ def uniform_l1_check(g: WeightedGraph, subset: Sequence[int], horizon: float,
     return UniformL1Result(value=value, bound=bound, horizon=horizon,
                            grid_size=len(times), kind=kind)
 
-
-def resolvent_via_heat_quadrature(engine: SemigroupEngine, alpha: float,
-                                  vec: np.ndarray) -> np.ndarray:
-    """Laplace-transform route to the resolvent: integral of e^{-alpha t} P_t v.
-
-    Composite 8-point Gauss-Legendre on [0, 40/alpha] with 25 cubically
-    graded panels (fine near t = 0, where stiff spectral components spike);
-    the discarded tail is below e^{-40} ||v||.  Cross-validates the direct
-    solve on moderate graphs.
-    """
-    if alpha <= 0:
-        raise InputError("alpha must be positive")
-    upper = 40.0 / alpha
-    xs, ws = np.polynomial.legendre.leggauss(8)
-    out = np.zeros_like(np.asarray(vec, dtype=float))
-    edges = upper * (np.arange(26) / 25) ** 3
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        for xi, wi in zip(xs, ws):
-            t = mid + xi * half
-            out = out + wi * half * math.exp(-alpha * t) * engine.heat_vec(t, vec)
-    return out

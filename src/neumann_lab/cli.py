@@ -48,8 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncations", default=None,
                    help="exhaustion parameters: 'a:b[:step]' inclusive, or 'i,j,k'; "
                         "rectangle indices for the comb (default 2:8), prefix sizes "
-                        "for chains (10:200:10), hop radii otherwise (all); every "
-                        "experiment but classify and comb-beta runs on these sets")
+                        "for chains (10:200:10), hop radii otherwise (0 to the "
+                        "origin's eccentricity + 1); every experiment but "
+                        "classify and comb-beta runs on these sets")
     p.add_argument("--ref", type=int, default=None,
                    help="explicit reference truncation parameter (default: "
                         "self-consistency or 4x extension)")
@@ -182,15 +183,18 @@ def run(args) -> tuple[dict, object]:
     ex = models.make_exhaustion(model, 0, indices=indices) if on_exhaustion else None
 
     if args.experiment == "neumann-convergence":
-        reference = None
+        reference, ref_clamps = None, 0
         if args.ref is not None:
             if args.ref <= max(indices):
                 raise InputError("--ref must exceed the largest truncation")
             ref_ex = models.make_exhaustion(model, 0, indices=[args.ref])
             op, engine, vec = convergence._truncation(g, ref_ex.sets[0], phi)
             reference = VertexFunction(convergence._extended(op, engine.heat_vec(args.t, vec)))
+            ref_clamps = engine.telemetry.clamped_entries
         report = convergence.neumann_convergence_experiment(
             g, ex, args.t, phi, reference=reference, alpha=args.alpha, probe=x)
+        # the experiment counts its own engines' clamps; add the reference's
+        report.metadata["clamped_entries"] += ref_clamps
     elif args.experiment in ("dirichlet-gap", "l1-defect"):
         experiment = (convergence.dirichlet_gap_experiment
                       if args.experiment == "dirichlet-gap"
@@ -208,7 +212,8 @@ def run(args) -> tuple[dict, object]:
                   "gap_at_source": info["gap_at_source"],
                   "max_gap": info["max_gap"],
                   "self_distance": info["self_distance"],
-                  "metadata": {"graph": model.name, "tol": args.tol}}
+                  "metadata": {"graph": model.name, "tol": args.tol,
+                               "clamped_entries": info["clamped_entries"]}}
     elif args.experiment == "classify":
         if model.chain is None:
             raise InputError("classify needs a birth-death chain model")

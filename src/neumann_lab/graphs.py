@@ -83,9 +83,10 @@ class WeightedGraph:
         self._measure_fn = _measure_fn
         self._killing_fn = _killing_fn
         self._label_fn = _label_fn
-        # lazy graphs only: the float conversions operator assembly derives
-        # from the rows of vertices interior to a subset
-        self._interior_rows: dict[int, object] = {}
+        # lazy graphs only: operator assembly's float row (ratios, excess,
+        # degree) of each vertex met as an interior row, whose whole
+        # neighbour row lay in the subset
+        self._interior_rows: dict[int, tuple] = {}
 
     # -- construction ---------------------------------------------------
 

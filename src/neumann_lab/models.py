@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .birth_death import BdChain, convergent, divergent
@@ -343,13 +342,17 @@ def make_exhaustion(model: Model, count: int,
 
 
 def default_indices(model: Model) -> list[int]:
-    """Rectangles 2..8 for the comb, prefixes 10..200 for chains, else every
-    hop radius of the (finite) graph."""
+    """Rectangles 2..8 for the comb, prefixes 10..200 for chains, else the
+    hop radii 0..ecc+1 of the (finite) graph, ecc the origin's eccentricity:
+    each distinct ball once, then the whole graph a second time, so the
+    last pair of sets gives a zero increment."""
     if model.family == "comb":
         return list(range(2, 9))
     if model.family == "bd":
         return list(range(10, 201, 10))
-    return list(range(max(1, len(model.graph))))
+    g = model.graph
+    ecc = max(hop_distances(g, g.vertices(), model.origin).values())
+    return list(range(ecc + 2))
 
 
 def reference_indices(model: Model, indices: Sequence[int]) -> list[int]:
@@ -424,7 +427,7 @@ def _tail_rate_chain() -> Model:
 
     return make_bd_chain(
         rate=tail, measure=measure, name="bd:tail",
-        measure_total=float(mp.pi ** 2 / 6),
+        measure_total=math.pi ** 2 / 6,
         certificates={
             "measure": "finite",
             "inv_b": divergent("1/b(r) grows like r", power=-1.0),

@@ -7,14 +7,14 @@ Two restrictions of the Laplacian to a finite connected subset are supported:
 * Neumann: the Laplacian of the induced subgraph; outgoing edges are ignored.
 
 Operators keep their defining data exact (weights as int/Fraction/float),
-so the residual certificate and the mpmath reference see entries without
-rounding.  Assembly also builds the float rows every solver runs on: the
-off-diagonal ratios b/m, the excess (killing mass)/m and the diagonal, each
-value converted once behind the overflow guard, so an operator beyond the
-float cap fails at assembly.  On lazy graphs the conversions of a vertex
-whose whole neighbour row lies in the subset are cached per graph, so later
-truncations reuse them; only boundary vertices need a per-subset exact sum.
-The dense float matrix is materialized lazily from the float rows.
+so the residual certificate sees entries without rounding.  Assembly also
+builds the float rows every solver runs on: the off-diagonal ratios b/m, the
+excess (killing mass)/m and the diagonal, each value converted once behind
+the overflow guard, so an operator beyond the float cap fails at assembly.
+A lazy graph caches the float row of each vertex whose whole neighbour row
+lies in the subset (an interior row), so later truncations reuse it; only
+boundary rows are converted per subset.  The dense float matrix is
+materialized lazily from the float rows.
 """
 
 from __future__ import annotations
@@ -24,20 +24,18 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, OverflowCapError
-from .graphs import VertexFunction, WeightedGraph, formal_laplacian, is_connected
+from .graphs import VertexFunction, WeightedGraph, is_connected
 
 __all__ = [
     "OperatorKind",
     "RestrictedOperator",
     "assemble_dirichlet",
     "assemble_neumann",
-    "evaluate_form",
-    "laplacian_identity_check",
     "dump_matrix",
 ]
 
@@ -111,11 +109,6 @@ class RestrictedOperator:
         return {x: i for i, x in enumerate(self.vertices)}
 
     @cached_property
-    def scale(self) -> float:
-        """Largest diagonal entry of the matrix (weighted degree scale)."""
-        return float(self.diagonal.max())
-
-    @cached_property
     def matrix(self) -> np.ndarray:
         """Dense float matrix A with A[i,j] = -b/m(i) off the diagonal."""
         n = len(self.vertices)
@@ -131,15 +124,6 @@ class RestrictedOperator:
     @cached_property
     def measure_vector(self) -> np.ndarray:
         return np.array([_float_guard(m, "measure") for m in self.measures])
-
-    @cached_property
-    def symmetrized(self) -> np.ndarray:
-        """S = M^{1/2} A M^{-1/2}: symmetric, same spectrum as A."""
-        sqm = np.sqrt(self.measure_vector)
-        return self.matrix * sqm[:, None] / sqm[None, :]
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
 
     def local_vector(self, f: VertexFunction) -> np.ndarray:
         """Restrict a vertex function to the subset; reject outside support."""
@@ -157,30 +141,6 @@ class RestrictedOperator:
         return VertexFunction({x: float(v) for x, v in zip(self.vertices, vec) if v != 0.0})
 
 
-class _InteriorRow(NamedTuple):
-    """Float data of a lazy-graph vertex x whose whole neighbour row lies in
-    the subset, as the assembly below would compute it there."""
-
-    ratios: tuple[float, ...]  # b(x, y)/m(x) per neighbour y, in row order
-    excess: float              # c(x)/m(x)
-    degree: float              # (sum_y b(x, y) + c(x))/m(x)
-
-
-def _interior_row(g: WeightedGraph, x: int, nbrs, kill, mx) -> _InteriorRow:
-    """The cached interior row of a lazy-graph vertex, built on its first
-    interior use (an interior row overflows only if the operator does)."""
-    cache = g._interior_rows
-    row = cache.get(x)
-    if row is None:
-        degree = _float_guard(_exact_ratio(sum(nbrs.values()) + kill, mx),
-                              f"degree at vertex {x}")
-        ratios = tuple(_float_guard(_exact_ratio(b, mx), f"entry ({x},{y})")
-                       for y, b in nbrs.items())
-        row = cache[x] = _InteriorRow(ratios, _float_guard(_exact_ratio(kill, mx), "excess"),
-                                      degree)
-    return row
-
-
 def _assemble(kind: OperatorKind, g: WeightedGraph, subset: Sequence[int]) -> RestrictedOperator:
     vertices = tuple(subset)
     if not vertices:
@@ -193,28 +153,33 @@ def _assemble(kind: OperatorKind, g: WeightedGraph, subset: Sequence[int]) -> Re
     index = {x: i for i, x in enumerate(vertices)}
     weights, killing_mass, measures = [], [], []
     offdiag, excess, diagonal = [], [], []
+    cache = None if g.is_finite else g._interior_rows
     for x in vertices:
         nbrs = g._row(x)
         kill = g.killing(x)
         mx = g.measure(x)
         row = {index[y]: b for y, b in nbrs.items() if y in index}
-        if not g.is_finite and len(row) == len(nbrs):
-            interior = _interior_row(g, x, nbrs, kill, mx)
-            offdiag.append(dict(zip(row, interior.ratios)))
-            excess.append(interior.excess)
-            diagonal.append(interior.degree)
-        else:
+        interior = len(row) == len(nbrs)
+        floats = cache.get(x) if cache is not None and interior else None
+        if floats is None:
             inner = sum(row.values())
-            if dirichlet:
+            if dirichlet and not interior:
                 # boundary term = the vertex's degree minus its in-subset
                 # part.  A row mixing Fraction and float weights can round
                 # this difference a few ulps below 0; the true mass is >= 0.
                 kill = kill + max(g.row_sum(x) - inner, 0)
-            diagonal.append(_float_guard(_exact_ratio(inner + kill, mx),
-                                         f"degree at vertex {x}"))
-            offdiag.append({j: _float_guard(_exact_ratio(b, mx), f"entry ({x},{vertices[j]})")
-                            for j, b in row.items()})
-            excess.append(_float_guard(_exact_ratio(kill, mx), "excess"))
+            # (ratios b/m in row order, excess, degree); the degree is the
+            # largest value, so an overflowing row fails on it first
+            degree = _float_guard(_exact_ratio(inner + kill, mx), f"degree at vertex {x}")
+            floats = (tuple(_float_guard(_exact_ratio(b, mx), f"entry ({x},{vertices[j]})")
+                            for j, b in row.items()),
+                      _float_guard(_exact_ratio(kill, mx), "excess"), degree)
+            if cache is not None and interior:
+                cache[x] = floats
+        ratios, exc, degree = floats
+        offdiag.append(dict(zip(row, ratios)))
+        excess.append(exc)
+        diagonal.append(degree)
         weights.append(row)
         killing_mass.append(kill)
         measures.append(mx)
@@ -237,47 +202,6 @@ def assemble_dirichlet(g: WeightedGraph, subset: Sequence[int]) -> RestrictedOpe
 def assemble_neumann(g: WeightedGraph, subset: Sequence[int]) -> RestrictedOperator:
     """Laplacian of the induced subgraph (outgoing edges dropped)."""
     return _assemble(OperatorKind.NEUMANN, g, subset)
-
-
-def evaluate_form(op: RestrictedOperator, f: VertexFunction) -> float:
-    """Energy of f under the operator's quadratic form.
-
-    Neumann: (1/2) sum_{x,y in K} b(x,y)(f(x)-f(y))^2 + sum c f^2.
-    Dirichlet: same plus the boundary mass, i.e. the energy of the
-    extension of f by zero.  Agrees with <Lf, f>_m up to rounding.
-    """
-    vec = op.local_vector(f)
-    total = 0.0
-    for i in range(len(op)):
-        for j, b in op.weights[i].items():
-            if j > i:
-                total += float(b) * (vec[i] - vec[j]) ** 2
-        total += float(op.killing_mass[i]) * vec[i] ** 2
-    return total
-
-
-def laplacian_identity_check(g: WeightedGraph, subset: Sequence[int],
-                             f: VertexFunction) -> float:
-    """Max deviation in the identity linking the Neumann restriction to the
-    formal Laplacian: L_K f = (Delta of f extended by 0) - f * (Delta 1_K).
-
-    The killing term enters both Delta evaluations, so the f*(c/m) part of
-    the subtrahend must be added back; otherwise the identity only holds for
-    c = 0 (single vertex with killing is a counterexample).  Returns the
-    worst absolute mismatch over the subset; algebraically zero.
-    """
-    op = assemble_neumann(g, subset)
-    vec = op.local_vector(f)
-    applied = op.apply(vec)
-    ones = VertexFunction({x: 1 for x in subset})
-    ext = VertexFunction({x: f(x) for x in subset if f(x) != 0})
-    worst = 0.0
-    for i, x in enumerate(op.vertices):
-        kill = float(g.killing(x)) / float(g.measure(x))
-        rhs = (float(formal_laplacian(g, ext, x))
-               - vec[i] * (float(formal_laplacian(g, ones, x)) - kill))
-        worst = max(worst, abs(applied[i] - rhs))
-    return worst
 
 
 def dump_matrix(op: RestrictedOperator) -> str:

@@ -15,9 +15,7 @@ vertices at a time:
 Both actions read the float rows that operator assembly built once
 (``offdiag``, ``excess``); the operator's exact data feeds only the residual
 certificate.  Residuals are verified in exact rational arithmetic on that
-data, so the check itself cannot drown in rounding.  A dense
-eigendecomposition is available on demand for diagnostics at moderate
-scale, and no action depends on it.
+data, so the check itself cannot drown in rounding.
 """
 
 from __future__ import annotations
@@ -25,32 +23,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from . import _elim
-from .errors import InputError, NeumannLabError
+from .errors import InputError
 from .graphs import VertexFunction
-from .operators import DENSE_SIZE_CAP, RestrictedOperator, evaluate_form
+from .operators import RestrictedOperator
 
 __all__ = [
     "SemigroupEngine",
     "ResolventResult",
-    "heat_apply",
     "resolvent_apply",
-    "heat_oracle",
-    "variational_value",
-    "SPECTRAL_SCALE_LIMIT",
 ]
 
-# above this weighted-degree scale, eigh eigenvalue errors (~eps * scale)
-# would exceed the 1e-10 tolerances the experiments run at
-SPECTRAL_SCALE_LIMIT = 1e5
-
 CLAMP_RELATIVE = 1e-12
-
-PSD_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -82,27 +69,8 @@ class SemigroupEngine:
 
     @property
     def mode(self) -> str:
-        """Solver path behind both actions; always the sparse elimination."""
+        """Always "elimination"; kept only because bench/spans.py reads it."""
         return "elimination"
-
-    @cached_property
-    def spectral(self):
-        """(eigenvalues, orthonormal eigenvectors of the symmetrized matrix),
-        computed by dense ``eigh`` on first access.
-
-        None when the weighted-degree scale exceeds ``SPECTRAL_SCALE_LIMIT``
-        (the small eigenvalues would drown in rounding) or the operator
-        exceeds ``DENSE_SIZE_CAP``.
-        """
-        op = self.operator
-        if op.scale > SPECTRAL_SCALE_LIMIT or len(op) > DENSE_SIZE_CAP:
-            return None
-        lam, U = np.linalg.eigh(op.symmetrized)
-        radius = max(abs(lam[0]), abs(lam[-1]), 1e-300)
-        if lam[0] < -PSD_TOLERANCE * radius:
-            raise NeumannLabError(
-                f"operator not positive semidefinite: min eigenvalue {lam[0]:.3e}")
-        return lam, U
 
     # -- heat -------------------------------------------------------------
 
@@ -167,16 +135,6 @@ class SemigroupEngine:
             return math.ldexp(float(total / (1 << 2 * half)) ** 0.5, half)
 
 
-# -- module-level operations matching the lab's vocabulary -------------------
-
-
-def heat_apply(engine: SemigroupEngine, t: float, f: VertexFunction) -> VertexFunction:
-    """e^{-tL} f for f supported on the engine's subset."""
-    op = engine.operator
-    vec = op.local_vector(f)
-    return op.vertex_function(engine.heat_vec(t, vec))
-
-
 def resolvent_apply(engine: SemigroupEngine, alpha: float, f: VertexFunction) -> ResolventResult:
     """(L + alpha)^{-1} f with an exact-arithmetic residual certificate."""
     op = engine.operator
@@ -185,48 +143,3 @@ def resolvent_apply(engine: SemigroupEngine, alpha: float, f: VertexFunction) ->
     residual = engine.resolvent_residual(alpha, u, vec)
     return ResolventResult(op.vertex_function(u), alpha, residual)
 
-
-def heat_oracle(op: RestrictedOperator, t: float, v: VertexFunction,
-                steps: int = 10_000) -> VertexFunction:
-    """Independent check of the heat action: classical 4th-order one-step
-    integration of u' = -Lu with uniform steps.
-
-    Requires (t/steps) * ||L|| < 0.5 (Gershgorin bound), otherwise the
-    explicit scheme is unstable and a parameter error is raised.
-    """
-    if t < 0:
-        raise InputError(f"negative time t = {t}")
-    if steps < 1:
-        raise InputError("steps must be >= 1")
-    vec = op.local_vector(v)
-    if t == 0.0:
-        return op.vertex_function(vec)
-    A = op.matrix
-    norm_bound = 2.0 * op.scale
-    h = t / steps
-    if h * norm_bound >= 0.5:
-        raise InputError(
-            f"step size {h:.3e} too large for operator norm ~{norm_bound:.3e}; "
-            f"increase steps above {int(2 * t * norm_bound) + 1}")
-    u = vec.copy()
-    for _ in range(steps):
-        k1 = A @ u
-        k2 = A @ (u - 0.5 * h * k1)
-        k3 = A @ (u - 0.5 * h * k2)
-        k4 = A @ (u - h * k3)
-        u = u - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return op.vertex_function(u)
-
-
-def variational_value(op: RestrictedOperator, alpha: float, f: VertexFunction,
-                      v: VertexFunction) -> float:
-    """Q(v) + alpha * || v - f/alpha ||_m^2, the functional whose unique
-    minimizer over the subset is the resolvent (L+alpha)^{-1} f."""
-    if alpha <= 0:
-        raise InputError(f"alpha must be positive, got {alpha}")
-    energy = evaluate_form(op, v)
-    vvec = op.local_vector(v)
-    fvec = op.local_vector(f)
-    diff = vvec - fvec / alpha
-    penalty = float(np.sum(diff * diff * op.measure_vector))
-    return energy + alpha * penalty

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from neumann_lab import _elim
 from neumann_lab.graphs import WeightedGraph
-from neumann_lab.operators import _exact_ratio
 
 # one profile for every property test: derandomized, so the suite gives the
 # same verdict on every run, and without deadlines, which slow hosts miss
@@ -54,23 +52,6 @@ def path_graph(k, b=1, m=1, c=0):
     measure = {i: m for i in range(k)}
     killing = {i: c for i in range(k)} if c else None
     return WeightedGraph.from_data(edges, measure, killing, name=f"path-{k}")
-
-
-def dense_heat(engine, t, vec):
-    """e^{-tL} vec from the engine's on-demand dense eigendecomposition."""
-    lam, U = engine.spectral
-    sqm = np.sqrt(engine.operator.measure_vector)
-    return U @ (np.exp(-t * np.maximum(lam, 0.0)) * (U.T @ (sqm * vec))) / sqm
-
-
-def mp_heat(engine, t, vec):
-    """The same rational approximation as the engine, solved in mpmath on
-    the operator's exact ratios b/m and (killing mass)/m."""
-    op = engine.operator
-    offdiag = [{j: _exact_ratio(b, m) for j, b in row.items()}
-               for row, m in zip(op.weights, op.measures)]
-    excess = [_exact_ratio(k, m) for k, m in zip(op.killing_mass, op.measures)]
-    return _elim.cf_heat_mp(offdiag, excess, t, vec, op.scale)
 
 
 def antitree(sizes, weight=1.0):

@@ -30,7 +30,10 @@ from neumann_lab.convergence import (
 )
 from neumann_lab.graphs import VertexFunction, formal_laplacian
 from neumann_lab.operators import assemble_dirichlet, assemble_neumann
-from neumann_lab.semigroup import SemigroupEngine, heat_oracle, variational_value
+from neumann_lab.semigroup import SemigroupEngine
+
+import oracles
+from oracles import heat_oracle, variational_value
 
 BETA = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -197,7 +200,7 @@ class TestCriterion5OracleEquivalence:
             vec = rng.normal(size=len(op))
             f = VertexFunction(dict(zip(verts, map(float, vec))))
             for t in (0.1, 1.0, 5.0):
-                steps = max(4000, int(5.0 * t * op.scale) + 1)
+                steps = max(4000, int(5.0 * t * oracles.scale(op)) + 1)
                 direct = engine.heat_vec(t, op.local_vector(f))
                 integ = heat_oracle(op, t, f, steps=steps)
                 for i, x in enumerate(op.vertices):

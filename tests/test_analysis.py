@@ -8,8 +8,6 @@ from neumann_lab.analysis import (
     ec_constant,
     feller_estimate,
     hop_distances,
-    minimum_principle_lower_bound,
-    resolvent_via_heat_quadrature,
     semigroup_gap,
     uniform_l1_check,
 )
@@ -19,6 +17,7 @@ from neumann_lab.operators import assemble_dirichlet, assemble_neumann
 from neumann_lab.semigroup import SemigroupEngine
 
 from conftest import path_graph, random_connected_graph
+from oracles import minimum_principle_lower_bound, resolvent_via_heat_quadrature
 
 
 class TestFeller:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from neumann_lab import models
+from neumann_lab import models, semigroup
 from neumann_lab.cli import EXPERIMENTS, main, parse_certificates, parse_truncations
 from neumann_lab.models import reference_indices
 from neumann_lab.errors import InputError
@@ -241,6 +241,28 @@ class TestExperiments:
         assert code == 0
         pairs = payload["quadratic_pairings"]
         assert all(b <= a + 1e-10 for a, b in zip(pairs, pairs[1:]))
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "comb", "--experiment", "neumann-convergence",
+         "--truncations", "2:6", "--ref", "9", "--alpha", "1.0"),
+        ("--model", "bd:unit", "--experiment", "gap", "--truncations", "10:60:10"),
+    ], ids=["comb-ref", "unit-gap"])
+    def test_clamps_of_every_engine_are_reported(self, capsys, monkeypatch, argv):
+        # the reported count is the sum over every engine the run built,
+        # the references' engines included
+        engines = []
+        init = semigroup.SemigroupEngine.__init__
+
+        def recording_init(self, op):
+            init(self, op)
+            engines.append(self)
+
+        monkeypatch.setattr(semigroup.SemigroupEngine, "__init__", recording_init)
+        code, payload = run_cli(capsys, *argv)
+        assert code == 0
+        total = sum(e.telemetry.clamped_entries for e in engines)
+        assert total > 0
+        assert payload["metadata"]["clamped_entries"] == total
 
     def test_dirichlet_gap_finite(self, capsys, tmp_path):
         p = tmp_path / "g.txt"

@@ -62,6 +62,19 @@ def test_package_imports_sit_at_module_level():
     assert nested == [("birth_death", "models")]
 
 
+def test_only_birth_death_imports_mpmath():
+    """The engines run in float64; mpmath serves the exact series of the
+    birth-death classifier alone."""
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                importers.add(path.stem)
+    assert importers == {"birth_death"}
+
+
 def test_models_does_not_import_the_experiments():
     imported = {target for target, _ in package_imports(PACKAGE / "models.py")}
     assert "birth_death" in imported

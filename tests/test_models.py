@@ -63,6 +63,17 @@ class TestExhaustions:
         ex = models.make_exhaustion(m, 4)
         assert [sorted(s) for s in ex.sets] == [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3]]
 
+    @pytest.mark.parametrize("name,seed,radii", [("random:60", 3, range(7)),
+                                                 ("path:12", None, range(13))])
+    def test_hop_ball_defaults_stop_where_the_balls_stop_growing(self, name, seed, radii):
+        # radii 0..ecc+1: every distinct ball once, then the whole graph again
+        m = models.build_model(name, seed=seed)
+        indices = models.default_indices(m)
+        assert indices == list(radii)
+        sizes = [len(s) for s in models.make_exhaustion(m, 0, indices=indices).sets]
+        assert all(a < b for a, b in zip(sizes[:-2], sizes[1:-1]))
+        assert sizes[-2] == sizes[-1] == len(m.graph)
+
     def test_random_graph_exhaustion_connected(self):
         m = models.make_random_connected(seed=7)
         ex = models.make_exhaustion(m, 4)
