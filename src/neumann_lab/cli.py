@@ -183,18 +183,13 @@ def run(args) -> tuple[dict, object]:
     ex = models.make_exhaustion(model, 0, indices=indices) if on_exhaustion else None
 
     if args.experiment == "neumann-convergence":
-        reference, ref_clamps = None, 0
+        ref_set = None
         if args.ref is not None:
             if args.ref <= max(indices):
                 raise InputError("--ref must exceed the largest truncation")
-            ref_ex = models.make_exhaustion(model, 0, indices=[args.ref])
-            op, engine, vec = convergence._truncation(g, ref_ex.sets[0], phi)
-            reference = VertexFunction(convergence._extended(op, engine.heat_vec(args.t, vec)))
-            ref_clamps = engine.telemetry.clamped_entries
+            ref_set = models.make_exhaustion(model, 0, indices=[args.ref]).sets[0]
         report = convergence.neumann_convergence_experiment(
-            g, ex, args.t, phi, reference=reference, alpha=args.alpha, probe=x)
-        # the experiment counts its own engines' clamps; add the reference's
-        report.metadata["clamped_entries"] += ref_clamps
+            g, ex, args.t, phi, alpha=args.alpha, probe=x, ref_set=ref_set)
     elif args.experiment in ("dirichlet-gap", "l1-defect"):
         experiment = (convergence.dirichlet_gap_experiment
                       if args.experiment == "dirichlet-gap"

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, NeumannLabError, TruncationInsufficientError
 from .graphs import Exhaustion, VertexFunction, WeightedGraph
 from .operators import assemble_dirichlet, assemble_neumann
-from .semigroup import SemigroupEngine
+from .semigroup import SemigroupEngine, heat_vecs
 
 __all__ = [
     "ConvergenceReport",
@@ -68,17 +68,24 @@ def _truncation(g: WeightedGraph, subset, f: VertexFunction, dirichlet: bool = F
     return op, SemigroupEngine(op), op.local_vector(f)
 
 
-def _distance(a: dict[int, float], b: dict[int, float], g: WeightedGraph, probe):
-    """l1(m), l2(m) and |a - b| at the probe, both extended by zero."""
+def _masses(g: WeightedGraph, maps) -> dict[int, float]:
+    """m(x) as a float for every vertex of the maps, each converted once."""
+    return {x: float(g.measure(x)) for x in set().union(*maps)}
+
+
+def _distance(a: dict[int, float], b: dict[int, float], mass: dict[int, float], probe):
+    """l1(m), l2(m) and |a - b| at the probe, both extended by zero; ``mass``
+    holds m(x) as a float for every vertex of a or b."""
     diff = {x: a.get(x, 0.0) - b.get(x, 0.0) for x in set(a) | set(b)}
-    l1 = sum(abs(v) * float(g.measure(x)) for x, v in diff.items())
-    l2 = math.sqrt(sum(v * v * float(g.measure(x)) for x, v in diff.items()))
+    l1 = sum(abs(v) * mass[x] for x, v in diff.items())
+    l2 = math.sqrt(sum(v * v * mass[x] for x, v in diff.items()))
     return l1, l2, abs(diff.get(probe, 0.0))
 
 
 def _curve(maps, ref_map: dict[int, float], g: WeightedGraph, probe):
     """The l1, l2 and pointwise distance lists of each map to the reference."""
-    rows = [_distance(m, ref_map, g, probe) for m in maps]
+    mass = _masses(g, maps + [ref_map])
+    rows = [_distance(m, ref_map, mass, probe) for m in maps]
     return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
 
 
@@ -88,12 +95,13 @@ def _self_consistent(g: WeightedGraph, maps: list[dict[int, float]], tol: float,
     has no monotonicity: its l2(m) distance to the previous iterate (the
     last two of ``maps``) must not exceed tol.  Returns that distance; the
     error carries the l2 distances between all consecutive ``maps``."""
-    _, dist, _ = _distance(maps[-1], maps[-2], g, None)
+    mass = _masses(g, maps)
+    _, dist, _ = _distance(maps[-1], maps[-2], mass, None)
     if dist > tol:
         raise TruncationInsufficientError(
             f"{what} not self-consistent: l2 distance {dist:.3e} above {tol:.3e}",
             last_increment=dist,
-            increments=[_distance(b, a, g, None)[1] for a, b in zip(maps, maps[1:])])
+            increments=[_distance(b, a, mass, None)[1] for a, b in zip(maps, maps[1:])])
     return dist
 
 
@@ -275,23 +283,29 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
                                    reference: VertexFunction | None = None,
                                    alpha: float | None = None,
                                    probe: int | None = None,
-                                   self_tol: float = 1e-6) -> ConvergenceReport:
+                                   self_tol: float = 1e-6,
+                                   ref_set: Sequence[int] | None = None) -> ConvergenceReport:
     """Distance curves of Neumann truncations against a Neumann reference.
 
-    With ``reference=None`` the last exhaustion set provides the reference
-    and must pass the self-consistency gate: its distance to the previous
-    iterate must fall below ``self_tol`` (no monotonicity is available on
-    the Neumann side).  An explicit reference must cover the largest
-    iterate set.  When ``alpha`` is given, the resolvent pairings
-    <R_alpha phi, phi>_m are recorded per truncation.
+    The reference is explicit when ``reference`` is given, or when
+    ``ref_set`` is: then it is the Neumann heat on that set, whose clamps
+    are counted with the iterates'.  An explicit reference must cover the
+    largest iterate set.  Without either, the last exhaustion set provides
+    the reference and must pass the self-consistency gate: its distance to
+    the previous iterate must fall below ``self_tol`` (no monotonicity is
+    available on the Neumann side).  When ``alpha`` is given, the resolvent
+    pairings <R_alpha phi, phi>_m are recorded per truncation.
     """
+    if reference is not None and ref_set is not None:
+        raise InputError("give an explicit reference or a reference set, not both")
+    explicit = reference is not None or ref_set is not None
     sets = list(exhaustion.sets)
-    if reference is None:
-        if len(sets) < 3:
-            raise InputError("self-consistent reference needs at least 3 exhaustion sets")
-        iterate_sets, ref_set = sets[:-1], sets[-1]
+    if explicit:
+        iterate_sets = sets
+    elif len(sets) < 3:
+        raise InputError("self-consistent reference needs at least 3 exhaustion sets")
     else:
-        iterate_sets, ref_set = sets, None
+        iterate_sets, ref_set = sets[:-1], sets[-1]
     probe = probe if probe is not None else sets[0][0]
 
     def one(subset, alpha=alpha):
@@ -309,14 +323,16 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
     if reference is None:
         # the reference set has no pairing row, so it skips the resolvent
         ref_map, _, ref_clamps = one(ref_set, alpha=None)
+    else:
+        ref_map = {x: float(v) for x, v in reference.values.items()}
+        ref_clamps = 0
+    if explicit:
+        if not set(iterate_sets[-1]) <= set(ref_map):
+            raise InputError("reference does not cover the largest iterate set")
+        ref_kind = "explicit-reference"
+    else:
         _self_consistent(g, heats + [ref_map], self_tol, "neumann reference")
         ref_kind = "neumann-self-consistent"
-    else:
-        if not set(iterate_sets[-1]) <= set(reference.values):
-            raise InputError("reference does not cover the largest iterate set")
-        ref_map = {x: float(v) for x, v in reference.values.items()}
-        ref_kind = "explicit-reference"
-        ref_clamps = 0
 
     l1s, l2s, points = _curve(heats, ref_map, g, probe)
     return ConvergenceReport(
@@ -394,7 +410,10 @@ def l1_defect_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     Per truncation the upper bound 2(|phi|_1 - |P_D_k phi|_1) and the lower
     bound |phi|_1 - |P_D(ref) phi|_1 (the stochastic mass defect) are
     asserted to within 1e-9; both are exact inequalities for the
-    truncation proxies.  Requires a killing-free graph.
+    truncation proxies.  Requires a killing-free graph.  The Dirichlet and
+    Neumann restrictions of a truncation differ only in the boundary mass
+    on the diagonal, so one factorization serves both heat actions
+    (``heat_vecs``).
     """
     ref_ex = ref_exhaustion or exhaustion
     for subset in (exhaustion.sets[-1], ref_ex.sets[-1]):
@@ -411,12 +430,12 @@ def l1_defect_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     probe = probe if probe is not None else exhaustion.sets[0][0]
 
     def one(subset):
-        d_op, d_engine, d_vec = _truncation(g, subset, phi, dirichlet=True)
-        d_l1 = float((np.abs(d_engine.heat_vec(t, d_vec)) * d_op.measure_vector).sum())
-        op, engine, vec = _truncation(g, subset, phi)
-        heat = _extended(op, engine.heat_vec(t, vec))
+        d_op, d_engine, vec = _truncation(g, subset, phi, dirichlet=True)
+        op, engine, _ = _truncation(g, subset, phi)
+        d_heat, heat = heat_vecs([d_engine, engine], t, vec)
+        d_l1 = float((np.abs(d_heat) * d_op.measure_vector).sum())
         clamped = d_engine.telemetry.clamped_entries + engine.telemetry.clamped_entries
-        return heat, 2.0 * (phi_l1 - d_l1), clamped
+        return _extended(op, heat), 2.0 * (phi_l1 - d_l1), clamped
 
     results = _ordered_map(one, exhaustion.sets)
     l1s, l2s, points = _curve([heat for heat, _, _ in results], ref_map, g, probe)

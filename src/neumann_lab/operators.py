@@ -53,6 +53,12 @@ class OperatorKind(enum.Enum):
 
 def _float_guard(value, what: str):
     """Exact-to-float conversion that refuses values beyond the cap."""
+    if isinstance(value, Fraction):
+        num, den = value.numerator, value.denominator
+        # |value| < 2^(bits(num) - bits(den) + 1) <= 2^(FLOAT_EXP_CAP - 1): no
+        # exact comparison needed, and int / int rounds as float(value) does
+        if num.bit_length() - den.bit_length() < FLOAT_EXP_CAP - 1:
+            return num / den
     if isinstance(value, (Fraction, int)):
         if abs(value) >= _FLOAT_CAP_VALUE:
             num = abs(Fraction(value))

@@ -34,6 +34,7 @@ from .operators import RestrictedOperator
 __all__ = [
     "SemigroupEngine",
     "ResolventResult",
+    "heat_vecs",
     "resolvent_apply",
 ]
 
@@ -76,17 +77,7 @@ class SemigroupEngine:
 
     def heat_vec(self, t: float, vec: np.ndarray) -> np.ndarray:
         """e^{-tL} vec; clamps tiny negatives to 0 when vec >= 0."""
-        if t < 0:
-            raise InputError(f"negative time t = {t}")
-        vec = np.asarray(vec, dtype=float)
-        op = self.operator
-        out = _elim.cf_heat(op.offdiag, op.excess, t, vec)
-        if (vec >= 0.0).all():
-            thresh = CLAMP_RELATIVE * (np.max(np.abs(vec)) if vec.size else 0.0)
-            small_neg = (out < 0.0) & (out > -thresh)
-            self.telemetry.clamped_entries += int(np.count_nonzero(small_neg))
-            out[small_neg] = 0.0
-        return out
+        return heat_vecs([self], t, vec)[0]
 
     # -- resolvent ----------------------------------------------------------
 
@@ -133,6 +124,32 @@ class SemigroupEngine:
             # halve the exponent exactly before converting
             half = (total.numerator.bit_length() - total.denominator.bit_length()) // 2
             return math.ldexp(float(total / (1 << 2 * half)) ** 0.5, half)
+
+
+def heat_vecs(engines: list[SemigroupEngine], t: float, vec: np.ndarray) -> list[np.ndarray]:
+    """e^{-tL} vec for each engine's operator, from one factorization.
+
+    The operators must share their off-diagonal rows, as the Dirichlet and
+    Neumann restrictions to one subset do: they differ only in the excess,
+    so ``cf_heat`` factors all their shifts together.  Each result equals
+    the engine's own ``heat_vec`` bit for bit, and its tiny negatives are
+    clamped to 0 (when vec >= 0) and counted in that engine's telemetry.
+    """
+    if t < 0:
+        raise InputError(f"negative time t = {t}")
+    vec = np.asarray(vec, dtype=float)
+    offdiag = engines[0].operator.offdiag
+    if any(e.operator.offdiag != offdiag for e in engines[1:]):
+        raise InputError("heat_vecs needs operators with the same off-diagonal rows")
+    excess = np.stack([e.operator.excess for e in engines], axis=1)
+    outs = list(_elim.cf_heat(offdiag, excess, t, vec).T)
+    if (vec >= 0.0).all():
+        thresh = CLAMP_RELATIVE * (np.max(np.abs(vec)) if vec.size else 0.0)
+        for e, out in zip(engines, outs):
+            small_neg = (out < 0.0) & (out > -thresh)
+            e.telemetry.clamped_entries += int(np.count_nonzero(small_neg))
+            out[small_neg] = 0.0
+    return outs
 
 
 def resolvent_apply(engine: SemigroupEngine, alpha: float, f: VertexFunction) -> ResolventResult:

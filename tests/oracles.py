@@ -1,8 +1,10 @@
 """Independent references that the tests check the package against.
 
 They compute what the package computes by other routes: a dense
-eigendecomposition, explicit RK4 integration, Gaussian elimination in mpmath
-at a precision scaled to the dynamic range, the quadratic form and its
+eigendecomposition, explicit RK4 integration, the elimination order on
+(degree, index) tuples, the elimination one round at a time in vertex order
+(the same arithmetic as the package's, in the same order), Gaussian elimination in mpmath at a precision scaled
+to the dynamic range, the quadratic form and its
 variational principle, the minimum-principle bound, the Laplace-transform
 route to the resolvent (over the engine's heat action), and the pole/residue
 sum of the rational approximation.  ``scale`` and ``heat_apply`` are
@@ -21,7 +23,6 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from neumann_lab._elim import elimination_order
 from neumann_lab._expcf import POLES, RESIDUES
 from neumann_lab.errors import InputError, NeumannLabError
 from neumann_lab.graphs import VertexFunction, WeightedGraph, formal_laplacian, weighted_degree
@@ -73,6 +74,93 @@ def dense_heat(op: RestrictedOperator, t: float, vec: np.ndarray) -> np.ndarray:
     lam, U = spectral(op)
     sqm = np.sqrt(op.measure_vector)
     return U @ (np.exp(-t * np.maximum(lam, 0.0)) * (U.T @ (sqm * vec))) / sqm
+
+
+# -- the elimination order ------------------------------------------------------
+
+
+def elimination_order(neighbor_sets: list[set[int]]) -> list[dict[int, list[int]]]:
+    """The package's round rule on (degree, index) tuples and fresh sets:
+    rounds of pairwise non-adjacent vertices, each vertex mapped to its
+    sorted live neighbours, taken greedily in (live degree, index) order
+    among the vertices of degree <= max(2, minimum live degree)."""
+    live = [set(s) for s in neighbor_sets]
+    left = set(range(len(live)))
+    rounds = []
+    while left:
+        by_degree = sorted((len(live[i]), i) for i in left)
+        cap = max(2, by_degree[0][0])
+        rnd, blocked = {}, set()
+        for d, i in by_degree:
+            if d > cap:
+                break
+            if i not in blocked:
+                rnd[i] = sorted(live[i])
+                blocked |= live[i]
+        for i, nbrs in rnd.items():
+            for a in nbrs:
+                live[a] |= live[i]
+                live[a] -= {a, i}
+        left -= rnd.keys()
+        rounds.append(rnd)
+    return rounds
+
+
+def gth_solve_by_rounds(offdiag: list[dict[int, float]], excess: np.ndarray,
+                        f: np.ndarray) -> np.ndarray:
+    """The package's elimination solved for f >= 0, one round at a time,
+    with the index work of each round done in that round and every array
+    in vertex order.  It performs the package's floating-point operations
+    in the package's order, so the two agree bit for bit."""
+    n = len(offdiag)
+    exc = np.asarray(excess)
+    dtype = np.dtype(complex) if np.iscomplexobj(exc) else np.dtype(float)
+    shape = exc.shape
+    k = math.prod(shape[1:])
+    exc = exc.astype(dtype).reshape(n, k)
+    order = elimination_order([set(r) for r in offdiag])
+    verts = np.fromiter(chain.from_iterable(order), int, n)
+    nbrs = [v for rnd in order for v in rnd.values()]
+    deg = np.fromiter(map(len, nbrs), int, n)
+    nb = np.fromiter(chain.from_iterable(nbrs), int)
+    src, span, first = verts.repeat(deg), deg.repeat(deg), (np.cumsum(deg) - deg).repeat(deg)
+    vcut = np.cumsum([0] + [len(rnd) for rnd in order])
+    ecut = np.append(0, np.cumsum(deg))[vcut]
+    E, cols = len(nb), np.arange(k)
+    at_i, at_b = ((x[:, None] * k + cols).ravel() for x in (src, nb))
+    keys = np.concatenate([src * n + nb, nb * n + src])
+    perm = np.argsort(keys)
+    keys = keys[perm]
+    rows = np.repeat(np.arange(n), [len(r) for r in offdiag])
+    coef = np.zeros((2 * E, k), dtype)
+    coef[perm[np.searchsorted(keys, rows * n + np.fromiter(chain.from_iterable(offdiag), int))]] = \
+        np.fromiter(chain.from_iterable(r.values() for r in offdiag), float, len(rows))[:, None]
+    pivots = np.zeros((n, k), dtype)
+    rounds = []
+    for v0, v1, e0, e1 in zip(vcut, vcut[1:], ecut, ecut[1:]):
+        rv, ri, rb = verts[v0:v1], src[e0:e1], nb[e0:e1]
+        upper, mult = coef[e0:e1], coef[E + e0:E + e1]
+        ai, ab = at_i[e0 * k:e1 * k], at_b[e0 * k:e1 * k]
+        np.add.at(pivots.reshape(-1), ai, upper.ravel())
+        pivots[rv] += exc[rv]
+        mult /= pivots[ri]
+        np.add.at(exc.reshape(-1), ab, (mult * exc[ri]).ravel())
+        s = span[e0:e1]
+        pa = np.repeat(np.arange(e0, e1), s)
+        pb = first[pa] + np.arange(len(pa)) - np.repeat(np.cumsum(s) - s, s)
+        keep = pa != pb
+        pa, pb = pa[keep], pb[keep]
+        slot = perm[np.searchsorted(keys, nb[pa] * n + nb[pb])]
+        np.add.at(coef.reshape(-1), (slot[:, None] * k + cols).ravel(),
+                  (coef[E + pa] * coef[pb]).ravel())
+        rounds.append((rv, ri, rb, upper, mult, ai, ab))
+    y = np.repeat(np.asarray(f, dtype=dtype)[:, None], k, axis=1)
+    for _rv, ri, _rb, _upper, mult, _ai, ab in rounds:
+        np.add.at(y.reshape(-1), ab, (mult * y[ri]).ravel())
+    for rv, _ri, rb, upper, _mult, ai, _ab in reversed(rounds):
+        np.add.at(y.reshape(-1), ai, (upper * y[rb]).ravel())
+        y[rv] /= pivots[rv]
+    return y.reshape(shape)
 
 
 # -- the heat action by other routes ------------------------------------------

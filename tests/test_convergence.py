@@ -142,6 +142,36 @@ class TestNeumannConvergence:
         with pytest.raises(InputError, match="cover"):
             neumann_convergence_experiment(g, ex, 1.0, phi, reference=small_ref)
 
+    def test_reference_set_gives_the_reference_and_its_clamps(self):
+        m = models.PRESETS["comb"]()
+        ex = models.make_exhaustion(m, 0, indices=[2, 3, 4, 5, 6])
+        phi = VertexFunction.indicator(models.comb_vertex_id(0, 0))
+        ref_set = models.comb_rectangle(9)
+        op = assemble_neumann(m.graph, ref_set)
+        engine = SemigroupEngine(op)
+        out = engine.heat_vec(1.0, op.local_vector(phi))
+        reference = VertexFunction({v: float(u) for v, u in zip(op.vertices, out)})
+        by_map = neumann_convergence_experiment(m.graph, ex, 1.0, phi,
+                                                reference=reference, alpha=1.0)
+        by_set = neumann_convergence_experiment(m.graph, ex, 1.0, phi,
+                                                ref_set=ref_set, alpha=1.0)
+        assert engine.telemetry.clamped_entries > 0
+        expected = by_map.to_json_dict()
+        expected["metadata"]["clamped_entries"] += engine.telemetry.clamped_entries
+        assert by_set.to_json_dict() == expected
+        assert by_set.reference_kind == "explicit-reference"
+
+    def test_reference_set_must_cover_iterates_and_exclude_a_reference(self):
+        g = path_graph(6)
+        verts = sorted(g.vertices())
+        ex = Exhaustion.build(g, [verts[:3], verts[:5]])
+        phi = VertexFunction.indicator(0)
+        with pytest.raises(InputError, match="cover"):
+            neumann_convergence_experiment(g, ex, 1.0, phi, ref_set=verts[:4])
+        with pytest.raises(InputError, match="not both"):
+            neumann_convergence_experiment(g, ex, 1.0, phi, ref_set=verts,
+                                           reference=VertexFunction({0: 1.0}))
+
     def test_self_consistency_gate(self):
         # comb truncations are far apart at small rectangles: the gate trips
         m = models.PRESETS["comb"]()

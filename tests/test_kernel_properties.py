@@ -9,11 +9,13 @@ separates them), against dense ``eigh`` where the scale allows it, and
 against the semigroup's own invariants: Neumann mass conservation and
 Dirichlet-below-Neumann domination.  The resolvent is checked against an
 exact rational solve and through its exact residual certificate.  The
-elimination's rounds are checked for independence and depth, several
-shifts factored together against one shift at a time, and graphs whose
-elimination fills densely (layered complete bipartite graphs) against
-mpmath; a memory check bounds what a factorization allocates beyond the
-factors it returns.
+elimination's rounds are checked for independence and depth and against
+the tuple-ordered rule in ``oracles``, the factors bit for bit against a
+round-by-round elimination, several shifts and several restrictions
+factored together against one at a time, and graphs whose elimination
+fills densely (layered complete bipartite graphs) against mpmath; a
+memory check bounds what a factorization allocates beyond the factors it
+returns.
 """
 
 import math
@@ -21,14 +23,15 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from neumann_lab import _elim
+from neumann_lab import _elim, models
 from neumann_lab._expcf import POLES
 from neumann_lab.graphs import WeightedGraph
 from neumann_lab.operators import assemble_dirichlet, assemble_neumann
-from neumann_lab.semigroup import SemigroupEngine
+from neumann_lab.semigroup import SemigroupEngine, heat_vecs
 
 import oracles
 from conftest import antitree
@@ -245,6 +248,77 @@ def layered_graphs(draw, max_n=40, max_exp=900):
     n = starts[-1]
     measure = {v: Fraction(2) ** draw(st.integers(-4, 4)) for v in range(n)}
     return WeightedGraph.from_data(edges, measure), n
+
+
+@settings(max_examples=50)
+@given(st.one_of(graphs(), layered_graphs()))
+def test_rounds_equal_the_tuple_ordered_rounds(graph):
+    g, n = graph
+    op = assemble_neumann(g, list(range(n)))
+    assert _elim.elimination_order(_pattern(op)) == oracles.elimination_order(_pattern(op))
+
+
+@settings(max_examples=50)
+@given(st.one_of(graphs(), layered_graphs()), TIMES, st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.sampled_from([_elim._CHUNK, 1, 7]))
+def test_factors_equal_the_round_by_round_elimination(graph, t, seed, neumann, chunk):
+    # a small batch size splits rounds into chunks and groups into one round
+    g, n = graph
+    op = (assemble_neumann if neumann else assemble_dirichlet)(g, list(range(n)))
+    vec = nonneg_vector(n, seed)
+    for excess in (op.excess[:, None] - np.asarray(POLES[::2]) / t, op.excess + 0.5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_elim, "_CHUNK", chunk)
+            out = _elim.gth_factor(op.offdiag, excess).solve_nonneg(vec)
+        assert np.array_equal(out, oracles.gth_solve_by_rounds(op.offdiag, excess, vec))
+
+
+@settings(max_examples=25)
+@given(graphs(), TIMES, st.integers(0, 2 ** 32 - 1), st.data())
+def test_restrictions_factored_together_equal_one_at_a_time(graph, t, seed, data):
+    # the Dirichlet and Neumann restrictions to one subset share their
+    # off-diagonal rows; a third, killing-free excess shares them too
+    g, n = graph
+    subset = list(range(data.draw(st.integers(1, n))))
+    d_op, n_op = assemble_dirichlet(g, subset), assemble_neumann(g, subset)
+    assert d_op.offdiag == n_op.offdiag
+    excess = np.stack([d_op.excess, n_op.excess, np.zeros(len(subset))], axis=1)
+    vec = nonneg_vector(len(subset), seed)
+    together = _elim.cf_heat(n_op.offdiag, excess, t, vec)
+    assert together.shape == excess.shape
+    for j in range(excess.shape[1]):
+        assert np.array_equal(together[:, j], _elim.cf_heat(n_op.offdiag, excess[:, j], t, vec))
+
+
+@settings(max_examples=25)
+@given(graphs(), TIMES, st.integers(0, 2 ** 32 - 1), st.data())
+def test_heat_pair_equals_two_heat_actions(graph, t, seed, data):
+    g, n = graph
+    subset = list(range(data.draw(st.integers(1, n))))
+    vec = nonneg_vector(len(subset), seed)
+    pair = [SemigroupEngine(assemble(g, subset)) for assemble in (assemble_dirichlet,
+                                                                  assemble_neumann)]
+    alone = [SemigroupEngine(assemble(g, subset)) for assemble in (assemble_dirichlet,
+                                                                   assemble_neumann)]
+    outs = heat_vecs(pair, t, vec)
+    for out, paired, single in zip(outs, pair, alone):
+        assert np.array_equal(out, single.heat_vec(t, vec))
+        assert paired.telemetry.clamped_entries == single.telemetry.clamped_entries
+
+
+def test_heat_pair_counts_each_restrictions_clamps():
+    # from the end of a 40-vertex unit chain the heat reaches the far end
+    # as tiny negatives, which both restrictions clamp
+    g = models.PRESETS["bd:unit"]().graph
+    vec = np.zeros(40)
+    vec[0] = 1.0
+    pair = [SemigroupEngine(assemble(g, range(40))) for assemble in (assemble_dirichlet,
+                                                                    assemble_neumann)]
+    outs = heat_vecs(pair, 1.0, vec)
+    for out, paired in zip(outs, pair):
+        single = SemigroupEngine(paired.operator)
+        assert np.array_equal(out, single.heat_vec(1.0, vec))
+        assert paired.telemetry.clamped_entries == single.telemetry.clamped_entries > 0
 
 
 @settings(max_examples=25)

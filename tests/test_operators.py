@@ -7,7 +7,9 @@ from neumann_lab import models
 from neumann_lab.errors import InputError, OverflowCapError
 from neumann_lab.graphs import Exhaustion, VertexFunction, WeightedGraph
 from neumann_lab.operators import (
+    FLOAT_EXP_CAP,
     OperatorKind,
+    _float_guard,
     assemble_dirichlet,
     assemble_neumann,
     dump_matrix,
@@ -335,3 +337,36 @@ class TestFloatRows:
         check_float_rows(assemble_neumann(g, [0, 1]))
         with pytest.raises(OverflowCapError, match="float cap"):
             assemble_dirichlet(g, [0, 1])
+
+
+def exact_guard(value: Fraction, what: str):
+    """The guard's exact comparison, taken for every Fraction."""
+    if abs(value) >= Fraction(2) ** FLOAT_EXP_CAP:
+        num = abs(value)
+        bits = num.numerator.bit_length() - num.denominator.bit_length()
+        raise OverflowCapError(f"{what} ~ 2^{bits} exceeds the float cap "
+                               f"2^{FLOAT_EXP_CAP}; use a smaller truncation")
+    return float(value)
+
+
+def test_float_guard_fast_path_matches_the_exact_comparison():
+    # Fractions between 2^995 and 2^1005, around the cap 2^1000: the guard
+    # skips the exact comparison only where it cannot change the outcome
+    rng = np.random.default_rng(20261019)
+    outcomes = set()
+    for _ in range(3000):
+        den = int(rng.integers(1, 2 ** 62)) << int(rng.integers(0, 200))
+        num = int(rng.integers(2 ** 61, 2 ** 62)) << (int(rng.integers(995, 1005))
+                                                      + den.bit_length() - 62)
+        value = Fraction(int(rng.choice([-1, 1])) * (num + int(rng.integers(0, 2 ** 20))), den)
+        try:
+            expected = exact_guard(value, "value")
+        except OverflowCapError as err:
+            with pytest.raises(OverflowCapError) as got:
+                _float_guard(value, "value")
+            assert str(got.value) == str(err)
+            outcomes.add("error")
+        else:
+            assert _float_guard(value, "value") == expected
+            outcomes.add("float")
+    assert outcomes == {"error", "float"}
