@@ -85,12 +85,12 @@ class UniformL1Result:
     kind: str
 
 
-def _largest_two(g: WeightedGraph, exhaustion: Exhaustion, f: VertexFunction, action):
+def _largest_two(exhaustion: Exhaustion, f: VertexFunction, action):
     """``action(engine, vec)`` on the Neumann restrictions to the two largest
     exhaustion sets, each extended by zero, and the two engines' clamps."""
     outs, clamps = [], 0
-    for subset in exhaustion.sets[-2:]:
-        op, engine, vec = _truncation(g, subset, f)
+    for k in (-2, -1):
+        op, engine, vec = _truncation(exhaustion, k, f)
         outs.append(_extended(op, action(engine, vec)))
         clamps += engine.telemetry.clamped_entries
     return outs, clamps
@@ -116,7 +116,7 @@ def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
         if len(exhaustion.sets) < 2:
             raise InputError("neumann variant needs at least two exhaustion sets")
         (prev, ref_map), _ = _largest_two(
-            g, exhaustion, delta, lambda engine, vec: engine.resolvent_vec(alpha, vec))
+            exhaustion, delta, lambda engine, vec: engine.resolvent_vec(alpha, vec))
         info = {"self_distance": _self_consistent(
             g, [prev, ref_map], self_tol, "neumann resolvent reference")}
     else:
@@ -167,7 +167,7 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
         raise InputError("need at least two exhaustion sets")
     one_x = VertexFunction.indicator(x)
     d_ref, d_info = dirichlet_reference(g, exhaustion, t, one_x, tol)
-    (prev, n_map), n_clamps = _largest_two(g, exhaustion, one_x,
+    (prev, n_map), n_clamps = _largest_two(exhaustion, one_x,
                                            lambda engine, vec: engine.heat_vec(t, vec))
     self_dist = _self_consistent(g, [prev, n_map], self_tol, "neumann heat reference")
     d_map = d_ref.values

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import InputError, NeumannLabError, TruncationInsufficientError
 from .graphs import Exhaustion, VertexFunction, WeightedGraph
-from .operators import assemble_dirichlet, assemble_neumann
+# the assemble_* names are not called here; the benchmark's tracer patches them
+from .operators import OperatorKind, assemble_dirichlet, assemble_neumann, restrict
 from .semigroup import SemigroupEngine, heat_vecs
 
 __all__ = [
@@ -60,11 +61,10 @@ def _extended(op, vec) -> dict[int, float]:
     return {x: float(v) for x, v in zip(op.vertices, vec)}
 
 
-def _truncation(g: WeightedGraph, subset, f: VertexFunction, dirichlet: bool = False):
-    """One truncation step: the restriction to ``subset``, its engine and f
-    as a local vector (``local_vector`` rejects f supported outside)."""
-    assemble = assemble_dirichlet if dirichlet else assemble_neumann
-    op = assemble(g, subset)
+def _truncation(ex: Exhaustion, k: int, f: VertexFunction, kind=OperatorKind.NEUMANN):
+    """One truncation step: the restriction to set k, its engine and f as a
+    local vector (``local_vector`` rejects f supported outside)."""
+    op = restrict(ex, k, kind)
     return op, SemigroupEngine(op), op.local_vector(f)
 
 
@@ -219,8 +219,8 @@ def _monotone_limit(g: WeightedGraph, exhaustion: Exhaustion, tol: float,
     increments = []
     used = 0
     clamps = 0
-    for k, subset in enumerate(exhaustion.sets):
-        op, engine, vec = _truncation(g, subset, f, dirichlet=True)
+    for k in range(len(exhaustion)):
+        op, engine, vec = _truncation(exhaustion, k, f, OperatorKind.DIRICHLET)
         current = _extended(op, action(engine, vec))
         clamps += engine.telemetry.clamped_entries
         if prev is not None:
@@ -299,17 +299,14 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
     if reference is not None and ref_set is not None:
         raise InputError("give an explicit reference or a reference set, not both")
     explicit = reference is not None or ref_set is not None
-    sets = list(exhaustion.sets)
-    if explicit:
-        iterate_sets = sets
-    elif len(sets) < 3:
+    sets = exhaustion.sets
+    if not explicit and len(sets) < 3:
         raise InputError("self-consistent reference needs at least 3 exhaustion sets")
-    else:
-        iterate_sets, ref_set = sets[:-1], sets[-1]
+    iterate_sets = sets if explicit else sets[:-1]
     probe = probe if probe is not None else sets[0][0]
 
-    def one(subset, alpha=alpha):
-        op, engine, vec = _truncation(g, subset, phi)
+    def one(ex, k, alpha=alpha):
+        op, engine, vec = _truncation(ex, k, phi)
         heat = _extended(op, engine.heat_vec(t, vec))
         pairing = None
         if alpha is not None:
@@ -317,12 +314,13 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
             pairing = float((u * vec * op.measure_vector).sum())
         return heat, pairing, engine.telemetry.clamped_entries
 
-    results = _ordered_map(one, iterate_sets)
+    results = _ordered_map(lambda k: one(exhaustion, k), range(len(iterate_sets)))
     heats = [heat for heat, _, _ in results]
 
     if reference is None:
         # the reference set has no pairing row, so it skips the resolvent
-        ref_map, _, ref_clamps = one(ref_set, alpha=None)
+        ref = (exhaustion, -1) if ref_set is None else (Exhaustion.build(g, [ref_set]), 0)
+        ref_map, _, ref_clamps = one(*ref, alpha=None)
     else:
         ref_map = {x: float(v) for x, v in reference.values.items()}
         ref_clamps = 0
@@ -370,11 +368,11 @@ def dirichlet_gap_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     ref, ref_info = dirichlet_reference(g, ref_exhaustion or exhaustion, t, phi, tol)
     probe = probe if probe is not None else exhaustion.sets[0][0]
 
-    def one(subset):
-        op, engine, vec = _truncation(g, subset, phi)
+    def one(k):
+        op, engine, vec = _truncation(exhaustion, k, phi)
         return _extended(op, engine.heat_vec(t, vec)), engine.telemetry.clamped_entries
 
-    results = _ordered_map(one, exhaustion.sets)
+    results = _ordered_map(one, range(len(exhaustion)))
     l1s, l2s, points = _curve([heat for heat, _ in results], ref.values, g, probe)
     clamps = ref_info["clamped_entries"] + sum(c for _, c in results)
     threshold = max(10 * tol, GAP_FLOOR_ABSOLUTE)
@@ -429,15 +427,15 @@ def l1_defect_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     defect = phi_l1 - sum(abs(v) * float(g.measure(x)) for x, v in ref_map.items())
     probe = probe if probe is not None else exhaustion.sets[0][0]
 
-    def one(subset):
-        d_op, d_engine, vec = _truncation(g, subset, phi, dirichlet=True)
-        op, engine, _ = _truncation(g, subset, phi)
+    def one(k):
+        d_op, d_engine, vec = _truncation(exhaustion, k, phi, OperatorKind.DIRICHLET)
+        op, engine, _ = _truncation(exhaustion, k, phi)
         d_heat, heat = heat_vecs([d_engine, engine], t, vec)
         d_l1 = float((np.abs(d_heat) * d_op.measure_vector).sum())
         clamped = d_engine.telemetry.clamped_entries + engine.telemetry.clamped_entries
         return _extended(op, heat), 2.0 * (phi_l1 - d_l1), clamped
 
-    results = _ordered_map(one, exhaustion.sets)
+    results = _ordered_map(one, range(len(exhaustion)))
     l1s, l2s, points = _curve([heat for heat, _, _ in results], ref_map, g, probe)
     bounds = [bound for _, bound, _ in results]
     clamps = ref_info["clamped_entries"] + sum(c for _, _, c in results)

@@ -1,4 +1,4 @@
-"""Weighted graphs over discrete measure spaces.
+"""Weighted graphs over discrete measure spaces, and their exhaustions.
 
 A graph here is a countable vertex set X with a strictly positive measure m,
 symmetric nonnegative edge weights b with zero diagonal and finite row sums,
@@ -13,7 +13,8 @@ described by neighbour/measure/killing callbacks and is only ever
 materialized through an :class:`Exhaustion`; it fills the store from its
 callbacks on a vertex's first use, with the same checks (m > 0, c >= 0), so
 every truncation reads the stored values without re-evaluating the
-callbacks.  A vertex's degree is the sum of its row.
+callbacks.  A vertex's degree is the sum of its row.  An :class:`Exhaustion`
+is checked once, when built, and keeps the row store its restrictions read.
 
 Weights may be ``int``, :class:`~fractions.Fraction`, or ``float``.  Exact
 rational weights survive untouched until operator assembly, which matters for
@@ -83,10 +84,6 @@ class WeightedGraph:
         self._measure_fn = _measure_fn
         self._killing_fn = _killing_fn
         self._label_fn = _label_fn
-        # lazy graphs only: operator assembly's float row (ratios, excess,
-        # degree) of each vertex met as an interior row, whose whole
-        # neighbour row lay in the subset
-        self._interior_rows: dict[int, tuple] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -143,8 +140,7 @@ class WeightedGraph:
         The callbacks must be pure functions of the vertex: the neighbor
         row (positive weights only), the measure and the killing of each
         vertex are stored on first use, after the same checks
-        :meth:`from_data` makes (m > 0, c >= 0), and operator assembly
-        caches their float conversions too.  A callback or check that
+        :meth:`from_data` makes (m > 0, c >= 0).  A callback or check that
         raises stores nothing.
         """
         return cls(_neighbor_fn=neighbor_fn, _measure_fn=measure_fn,
@@ -256,18 +252,22 @@ class VertexFunction:
 
 @dataclass(frozen=True)
 class Exhaustion:
-    """Nested finite connected vertex sets X_0 <= X_1 <= ... of one graph.
+    """Nested nonempty finite connected vertex sets X_0 <= X_1 <= ... of a graph.
 
     The per-set vertex order is the insertion order: X_{k+1} lists X_k's
     vertices first, then the new ones, so extension-by-zero embeddings are
-    index-stable across levels.
+    index-stable across levels and set k is a prefix of the largest set.
+    ``_store`` holds the largest set's rows in that order, as far as
+    :func:`neumann_lab.operators.restrict` has read them.
     """
 
     graph: WeightedGraph
     sets: tuple[tuple[int, ...], ...] = field(default=())
+    _store: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @staticmethod
     def build(graph: WeightedGraph, sets: Sequence[Sequence[int]]) -> "Exhaustion":
+        """Check and order the sets; no restriction checks them again."""
         if not sets:
             raise InputError("exhaustion needs at least one set")
         canon: list[tuple[int, ...]] = []
@@ -276,6 +276,8 @@ class Exhaustion:
         for k, raw in enumerate(sets):
             raw = list(raw)
             raw_set = set(raw)
+            if not raw:
+                raise InputError(f"exhaustion set {k} is empty")
             if len(raw) != len(raw_set):
                 raise InputError(f"duplicate vertices in exhaustion set {k}")
             if not prev_set <= raw_set:

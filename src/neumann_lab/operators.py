@@ -9,11 +9,12 @@ Two restrictions of the Laplacian to a finite connected subset are supported:
 Operators keep their defining data exact (weights as int/Fraction/float),
 so the residual certificate sees entries without rounding.  Assembly also
 builds the float rows every solver runs on: the off-diagonal ratios b/m, the
-excess (killing mass)/m and the diagonal, each value converted once behind
-the overflow guard, so an operator beyond the float cap fails at assembly.
-A lazy graph caches the float row of each vertex whose whole neighbour row
-lies in the subset (an interior row), so later truncations reuse it; only
-boundary rows are converted per subset.  The dense float matrix is
+excess (killing mass)/m and the diagonal, each value converted behind the
+overflow guard, so an operator beyond the float cap fails at assembly.
+Every restriction is read off the row store of an :class:`Exhaustion`
+(:func:`restrict`), which converts an interior row once for both kinds and
+every larger set and a boundary row per set; :func:`assemble_dirichlet` and
+:func:`assemble_neumann` are the one-set case.  The dense float matrix is
 materialized lazily from the float rows.
 """
 
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, OverflowCapError
-from .graphs import VertexFunction, WeightedGraph, is_connected
+from .graphs import Exhaustion, VertexFunction, WeightedGraph
 
 __all__ = [
     "OperatorKind",
@@ -37,6 +38,7 @@ __all__ = [
     "assemble_dirichlet",
     "assemble_neumann",
     "dump_matrix",
+    "restrict",
 ]
 
 # float64 overflows at 2^1024; pivot row sums add at most a couple of bits
@@ -147,50 +149,48 @@ class RestrictedOperator:
         return VertexFunction({x: float(v) for x, v in zip(self.vertices, vec) if v != 0.0})
 
 
-def _assemble(kind: OperatorKind, g: WeightedGraph, subset: Sequence[int]) -> RestrictedOperator:
-    vertices = tuple(subset)
-    if not vertices:
-        raise InputError("empty subset")
-    if len(set(vertices)) != len(vertices):
-        raise InputError("subset contains duplicates")
-    if not is_connected(g, vertices):
-        raise InputError("subset induces a disconnected subgraph")
-    dirichlet = kind is OperatorKind.DIRICHLET
-    index = {x: i for i, x in enumerate(vertices)}
-    weights, killing_mass, measures = [], [], []
-    offdiag, excess, diagonal = [], [], []
-    cache = None if g.is_finite else g._interior_rows
-    for x in vertices:
-        nbrs = g._row(x)
-        kill = g.killing(x)
-        mx = g.measure(x)
-        row = {index[y]: b for y, b in nbrs.items() if y in index}
-        interior = len(row) == len(nbrs)
-        floats = cache.get(x) if cache is not None and interior else None
-        if floats is None:
+def restrict(ex: Exhaustion, k: int, kind: OperatorKind) -> RestrictedOperator:
+    """The restriction of ``kind`` to set k of the exhaustion: the first n_k
+    rows of its row store, with their entries below n_k.  A row is stored
+    when a restriction first includes it, just before its conversion, so a
+    measure, killing or overflow error comes at the first set holding it.
+    An interior row (all neighbours in the set) is the same for both kinds
+    and every larger set, so its float row is converted once and its dicts
+    are shared by every operator read; a boundary row is converted per set."""
+    g, vertices, store = ex.graph, ex.sets[k], ex._store
+    n = len(vertices)
+    index = {x: i for i, x in enumerate(ex.sets[-1])} if len(store) < n else None
+    rows = []
+    for i, x in enumerate(vertices):
+        if i == len(store):
+            # [entries {position in the largest set: b}, reach (the largest
+            #  neighbour position), killing, measure, interior float row]
+            nbrs = g._row(x)
+            kill, mx = g.killing(x), g.measure(x)
+            entries = {index[y]: b for y, b in nbrs.items() if y in index}
+            reach = max(entries, default=-1) if len(entries) == len(nbrs) else math.inf
+            store.append([entries, reach, kill, mx, None])
+        entries, reach, kill, mx, floats = stored = store[i]
+        interior = reach < n
+        row = entries if interior else {j: b for j, b in entries.items() if j < n}
+        if not interior or floats is None:
             inner = sum(row.values())
-            if dirichlet and not interior:
+            if kind is OperatorKind.DIRICHLET and not interior:
                 # boundary term = the vertex's degree minus its in-subset
                 # part.  A row mixing Fraction and float weights can round
                 # this difference a few ulps below 0; the true mass is >= 0.
                 kill = kill + max(g.row_sum(x) - inner, 0)
-            # (ratios b/m in row order, excess, degree); the degree is the
-            # largest value, so an overflowing row fails on it first
+            # the degree is the row's largest value, so an overflowing row
+            # fails on it first
             degree = _float_guard(_exact_ratio(inner + kill, mx), f"degree at vertex {x}")
-            floats = (tuple(_float_guard(_exact_ratio(b, mx), f"entry ({x},{vertices[j]})")
-                            for j, b in row.items()),
+            floats = ({j: _float_guard(_exact_ratio(b, mx), f"entry ({x},{vertices[j]})")
+                       for j, b in row.items()},
                       _float_guard(_exact_ratio(kill, mx), "excess"), degree)
-            if cache is not None and interior:
-                cache[x] = floats
-        ratios, exc, degree = floats
-        offdiag.append(dict(zip(row, ratios)))
-        excess.append(exc)
-        diagonal.append(degree)
-        weights.append(row)
-        killing_mass.append(kill)
-        measures.append(mx)
-    return RestrictedOperator(kind, g, vertices, tuple(weights), tuple(killing_mass),
-                              tuple(measures), tuple(offdiag),
+            if interior:
+                stored[4] = floats
+        rows.append((row, kill, mx, *floats))
+    weights, killing_mass, measures, offdiag, excess, diagonal = zip(*rows)
+    return RestrictedOperator(kind, g, vertices, weights, killing_mass, measures, offdiag,
                               _frozen_array(excess), _frozen_array(diagonal))
 
 
@@ -202,12 +202,12 @@ def _frozen_array(values) -> np.ndarray:
 
 def assemble_dirichlet(g: WeightedGraph, subset: Sequence[int]) -> RestrictedOperator:
     """Restriction keeping outgoing edges as diagonal killing."""
-    return _assemble(OperatorKind.DIRICHLET, g, subset)
+    return restrict(Exhaustion.build(g, [subset]), 0, OperatorKind.DIRICHLET)
 
 
 def assemble_neumann(g: WeightedGraph, subset: Sequence[int]) -> RestrictedOperator:
     """Laplacian of the induced subgraph (outgoing edges dropped)."""
-    return _assemble(OperatorKind.NEUMANN, g, subset)
+    return restrict(Exhaustion.build(g, [subset]), 0, OperatorKind.NEUMANN)
 
 
 def dump_matrix(op: RestrictedOperator) -> str:

@@ -167,6 +167,15 @@ class TestExperiments:
         # the dumped matrix is the set the constant was computed on
         assert payload["matrix_dump"].startswith("# kind=neumann n=4\n")
 
+    @pytest.mark.parametrize("experiment", ["ec", "neumann-convergence"])
+    def test_empty_exhaustion_set_exits_1(self, capsys, experiment):
+        # the hop ball of radius -1 is empty
+        code, payload = run_cli(capsys, "--model", "path:12", "--experiment", experiment,
+                                "--truncations=-1,2")
+        assert code == 1
+        assert payload["error_kind"] == "input-error"
+        assert payload["reason"] == "exhaustion set 0 is empty"
+
     def test_ec_comb_window_follows_the_truncations(self, capsys):
         code, payload = run_cli(capsys, "--model", "comb", "--experiment", "ec",
                                 "--truncations", "2:10")

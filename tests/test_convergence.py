@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from neumann_lab import models
+from neumann_lab import graphs, models
 from neumann_lab.convergence import (
     ConvergenceReport,
     dirichlet_reference,
@@ -247,8 +247,8 @@ class TestL1Defect:
         assert all(d >= rep.stochastic_defect - 1e-9 for d in rep.l1_distance)
 
     def test_lazy_callbacks_run_once_per_vertex(self):
-        # the 4^r chain: every truncation and the reference reuse the rows,
-        # measures and float conversions cached on first use
+        # the 4^r chain: every truncation and the reference read the rows
+        # and measures the graph stored on first use
         calls = Counter()
 
         def neighbors(v):
@@ -276,6 +276,28 @@ class TestL1Defect:
         ex = full_exhaustion(g, [2])
         with pytest.raises(InputError, match="killing"):
             l1_defect_experiment(g, ex, 1.0, VertexFunction.indicator(0))
+
+
+def test_truncations_run_no_bfs(monkeypatch):
+    # Exhaustion.build checks connectivity once; the experiments read every
+    # truncation off the built exhaustion without a hop-distance search
+    model = models.build_model("path:12")
+    ex = models.make_exhaustion(model, 0, indices=models.default_indices(model))
+    ref_ex = models.make_exhaustion(
+        model, 0, indices=models.reference_indices(model, models.default_indices(model)))
+    calls = []
+    search = graphs.hop_distances
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(graphs, "hop_distances", counted)
+    phi = VertexFunction.indicator(model.origin)
+    neumann_convergence_experiment(model.graph, ex, 1.0, phi)
+    dirichlet_gap_experiment(model.graph, ex, 1.0, phi, ref_exhaustion=ref_ex)
+    l1_defect_experiment(model.graph, ex, 1.0, phi, ref_exhaustion=ref_ex)
+    assert calls == []
 
 
 class TestSupportOutsideTruncation:

@@ -157,6 +157,12 @@ class TestExhaustion:
         with pytest.raises(InputError, match="disconnected"):
             Exhaustion.build(g, [[0], [0, 2]])
 
+    @pytest.mark.parametrize("sets,k", [([[]], 0), ([[], [0, 1]], 0), ([[0], [0], []], 2)])
+    def test_empty_set_rejected(self, sets, k):
+        g = path_graph(4)
+        with pytest.raises(InputError, match=f"exhaustion set {k} is empty"):
+            Exhaustion.build(g, sets)
+
     def test_insertion_order_stable(self):
         g = path_graph(5)
         ex = Exhaustion.build(g, [[2], [2, 1, 3], [0, 1, 2, 3, 4]])

@@ -13,6 +13,7 @@ from neumann_lab.operators import (
     assemble_dirichlet,
     assemble_neumann,
     dump_matrix,
+    restrict,
 )
 
 import oracles
@@ -67,13 +68,28 @@ class TestDirichletAssembly:
     @pytest.mark.parametrize("bad", [0, -1, Fraction(-1, 2), float("nan")])
     def test_rejects_nonpositive_lazy_measure(self, bad):
         # lazy graphs skip from_data's measure check
+        read = []
+
+        def measure(x):
+            read.append(x)
+            return bad if x == 1 else 1
+
         g = WeightedGraph.lazy(
             neighbor_fn=lambda x: ({1: 1} if x == 0 else {x - 1: 1, x + 1: 1}),
-            measure_fn=lambda x: bad if x == 1 else 1)
+            measure_fn=measure)
         for assemble in (assemble_dirichlet, assemble_neumann):
             assemble(g, [0])
             with pytest.raises(InputError, match="nonpositive measure"):
                 assemble(g, [0, 1])
+        # on an exhaustion, the sets before vertex 1 never read its measure,
+        # and the first set that holds it raises
+        for kind in OperatorKind:
+            ex = Exhaustion.build(g, [[0], [0, 1], [0, 1, 2]])
+            read.clear()
+            restrict(ex, 0, kind)
+            assert 1 not in read
+            with pytest.raises(InputError, match="nonpositive measure"):
+                restrict(ex, 1, kind)
 
 
 class TestNeumannAssembly:
@@ -247,12 +263,31 @@ def check_float_rows(op):
     assert oracles.scale(op) == max(op.diagonal)
 
 
+def bits(op):
+    """Every field of the operator but its graph, floats by their exact bits
+    and exact values with their types."""
+    return (op.kind, op.vertices, repr(op.weights), repr(op.killing_mass),
+            repr(op.measures), repr(op.offdiag), op.excess.tobytes(),
+            op.diagonal.tobytes())
+
+
+ASSEMBLE = {OperatorKind.DIRICHLET: assemble_dirichlet,
+            OperatorKind.NEUMANN: assemble_neumann}
+
+
 def assemble_in_turn(g, subsets):
-    """Assemble both kinds on each subset in order, so lazy graphs serve
-    later subsets from rows cached by earlier ones."""
-    for subset in subsets:
-        for assemble in (assemble_dirichlet, assemble_neumann):
-            check_float_rows(assemble(g, subset))
+    """Read both kinds of every set off one exhaustion of the nested
+    subsets, with k increasing and, on a fresh exhaustion, decreasing, so
+    later sets reuse the rows stored by earlier ones.  Each restriction
+    equals the one-set assembly of its set bit for bit."""
+    for order in (range(len(subsets)), range(len(subsets) - 1, -1, -1)):
+        ex = Exhaustion.build(g, subsets)
+        for k in order:
+            for kind, assemble in ASSEMBLE.items():
+                op = restrict(ex, k, kind)
+                check_float_rows(op)
+                assert op.graph is g
+                assert bits(op) == bits(assemble(g, ex.sets[k]))
 
 
 class TestFloatRows:
@@ -316,13 +351,12 @@ class TestFloatRows:
                 assert lazy.row_sum(x) == fin.row_sum(x)
                 for y in verts:
                     assert lazy.edge_weight(x, y) == fin.edge_weight(x, y)
-            for subset in nested_subsets(rng, fin):
+            subsets = nested_subsets(rng, fin)
+            for subset in subsets:
                 for assemble in (assemble_dirichlet, assemble_neumann):
-                    a, b = assemble(fin, subset), assemble(lazy, subset)
-                    assert (a.vertices, a.weights, a.killing_mass, a.measures, a.offdiag) \
-                        == (b.vertices, b.weights, b.killing_mass, b.measures, b.offdiag)
-                    assert a.excess.tolist() == b.excess.tolist()
-                    assert a.diagonal.tolist() == b.diagonal.tolist()
+                    assert bits(assemble(fin, subset)) == bits(assemble(lazy, subset))
+            assemble_in_turn(fin, subsets)
+            assemble_in_turn(lazy, subsets)
 
     def test_edge_leaving_the_subset_beyond_cap(self):
         # b(x, x+1) = 2^(1100 x): only the Dirichlet restriction to {0, 1}
@@ -337,6 +371,14 @@ class TestFloatRows:
         check_float_rows(assemble_neumann(g, [0, 1]))
         with pytest.raises(OverflowCapError, match="float cap"):
             assemble_dirichlet(g, [0, 1])
+        # read off an exhaustion, the error comes at the same set, with the
+        # same text, though row 1's edge to 2 lies inside the largest set
+        ex = Exhaustion.build(g, [[0], [0, 1], [0, 1, 2]])
+        check_float_rows(restrict(ex, 1, OperatorKind.NEUMANN))
+        with pytest.raises(OverflowCapError) as err:
+            restrict(ex, 1, OperatorKind.DIRICHLET)
+        assert str(err.value) == ("degree at vertex 1 ~ 2^1100 exceeds the float cap "
+                                  "2^1000; use a smaller truncation")
 
 
 def exact_guard(value: Fraction, what: str):

@@ -30,6 +30,13 @@ class TestRationalExpTable:
     def test_decay_at_huge_arguments(self):
         assert np.max(np.abs(rational_exp(np.array([1e30, 1e150, 1e300])))) < 1e-13
 
+    def test_poles_keep_their_distance_from_the_half_line(self):
+        # the distance of p to [0, inf) is |p| left of the imaginary axis and
+        # |Im p| right of it; the nearest pair is -5.623 +- 1.194i
+        dist = [abs(p) if p.real < 0 else abs(p.imag) for p in POLES]
+        assert min(dist) == pytest.approx(5.7486, abs=1e-4)
+        assert abs(POLES[0]) == min(dist)
+
     def test_conjugate_pairs(self):
         # cf_heat solves one pole of each pair and takes the real part
         poles, resid = np.array(POLES), np.array(RESIDUES)
