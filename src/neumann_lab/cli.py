@@ -180,22 +180,26 @@ def run(args) -> tuple[dict, object]:
                else models.default_indices(model))
     phi = VertexFunction.indicator(x)
     on_exhaustion = args.experiment not in ("classify", "comb-beta")
-    ex = models.make_exhaustion(model, 0, indices=indices) if on_exhaustion else None
+    later = ref_ex = None  # one exhaustion: the iterates, then a reference's later sets
+    if args.experiment == "neumann-convergence" and args.ref is not None:
+        if args.ref <= max(indices):
+            raise InputError("--ref must exceed the largest truncation")
+        later = [args.ref]
+    elif args.experiment in ("dirichlet-gap", "l1-defect"):
+        ref = models.reference_indices(model, indices)
+        later = None if ref == indices else ref[1:]  # hop balls: the iterates
+    ex = (models.make_exhaustion(model, 0, indices=indices + (later or []))
+          if on_exhaustion else None)
+    if later is not None:
+        ex, ref_ex = ex[:len(indices)], ex[len(indices) - 1:]
 
     if args.experiment == "neumann-convergence":
-        ref_set = None
-        if args.ref is not None:
-            if args.ref <= max(indices):
-                raise InputError("--ref must exceed the largest truncation")
-            ref_set = models.make_exhaustion(model, 0, indices=[args.ref]).sets[0]
         report = convergence.neumann_convergence_experiment(
-            g, ex, args.t, phi, alpha=args.alpha, probe=x, ref_set=ref_set)
+            g, ex, args.t, phi, alpha=args.alpha, probe=x, ref_exhaustion=ref_ex)
     elif args.experiment in ("dirichlet-gap", "l1-defect"):
         experiment = (convergence.dirichlet_gap_experiment
                       if args.experiment == "dirichlet-gap"
                       else convergence.l1_defect_experiment)
-        ref_ex = models.make_exhaustion(
-            model, 0, indices=models.reference_indices(model, indices))
         report = experiment(g, ex, args.t, phi, ref_exhaustion=ref_ex, tol=args.tol,
                             probe=x)
     elif args.experiment == "feller":

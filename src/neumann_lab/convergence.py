@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, NeumannLabError, TruncationInsufficientError
 from .graphs import Exhaustion, VertexFunction, WeightedGraph
 # the assemble_* names are not called here; the benchmark's tracer patches them
-from .operators import OperatorKind, assemble_dirichlet, assemble_neumann, restrict
+from .operators import OperatorKind, _float_guard, assemble_dirichlet, assemble_neumann, restrict
 from .semigroup import SemigroupEngine, heat_vecs
 
 __all__ = [
@@ -70,7 +70,7 @@ def _truncation(ex: Exhaustion, k: int, f: VertexFunction, kind=OperatorKind.NEU
 
 def _masses(g: WeightedGraph, maps) -> dict[int, float]:
     """m(x) as a float for every vertex of the maps, each converted once."""
-    return {x: float(g.measure(x)) for x in set().union(*maps)}
+    return {x: _float_guard(g.measure(x), "measure") for x in set().union(*maps)}
 
 
 def _distance(a: dict[int, float], b: dict[int, float], mass: dict[int, float], probe):
@@ -201,50 +201,43 @@ class ConvergenceReport:
         }
 
 
-def _monotone_limit(g: WeightedGraph, exhaustion: Exhaustion, tol: float,
-                    f: VertexFunction, action, what: str):
+def _monotone_limit(exhaustion: Exhaustion, tol: float, f: VertexFunction, action, what: str):
     """Shared monotone-truncation loop for Dirichlet heat and resolvents.
 
     ``action(engine, vec)`` applied to f on each Dirichlet truncation must
-    give entrywise nondecreasing extensions by zero.  Stops when the l1
-    increment drops below tol and returns the last extension (float values,
-    zeros dropped) with an info dict; raises with every increment when the
-    exhaustion ends first.  A single set gives no increment at all, so it is
-    rejected before any solve.
+    give entrywise nondecreasing extensions by zero (the previous vector is
+    a prefix).  Stops when the l1 increment drops below tol and returns the
+    last extension (float values, zeros dropped) with an info dict; raises
+    with every increment when the exhaustion ends first.  A single set gives
+    no increment at all, so it is rejected before any solve.
     """
     if len(exhaustion.sets) < 2:
         raise InputError(f"{what} needs at least two exhaustion sets")
-    prev: dict[int, float] | None = None
-    increment = math.inf
+    prev: list[float] | None = None
     increments = []
-    used = 0
     clamps = 0
     for k in range(len(exhaustion)):
         op, engine, vec = _truncation(exhaustion, k, f, OperatorKind.DIRICHLET)
-        current = _extended(op, action(engine, vec))
+        current = action(engine, vec).tolist()
         clamps += engine.telemetry.clamped_entries
         if prev is not None:
-            increment = 0.0
-            for x, v_old in prev.items():
-                v_new = current.get(x, 0.0)
+            for x, v_old, v_new in zip(op.vertices, prev, current):
                 if v_new < v_old - MONOTONE_SLACK:
                     raise NeumannLabError(
                         f"{what}: truncation monotonicity violated at vertex {x}: "
                         f"{v_old!r} -> {v_new!r}")
-                increment += abs(v_new - v_old) * float(g.measure(x))
-            for x, v_new in current.items():
-                if x not in prev:
-                    increment += abs(v_new) * float(g.measure(x))
+            prev += [0.0] * (len(current) - len(prev))
+            increment = sum(abs(v_new - v_old) * m for v_new, v_old, m
+                            in zip(current, prev, op.measure_vector.tolist()))
             increments.append(increment)
             if increment < tol:
-                limit = VertexFunction({x: v for x, v in current.items() if v != 0.0})
+                limit = VertexFunction({x: v for x, v in zip(op.vertices, current) if v})
                 return limit, {"sets_used": k + 1, "last_increment": increment,
                                "clamped_entries": clamps}
         prev = current
-        used = k + 1
     raise TruncationInsufficientError(
         f"{what}: increment {increment:.3e} still above tol {tol:.3e} "
-        f"after {used} truncations", last_increment=increment, increments=increments)
+        f"after {len(exhaustion)} truncations", last_increment=increment, increments=increments)
 
 
 def dirichlet_reference(g: WeightedGraph, exhaustion: Exhaustion, t: float,
@@ -260,7 +253,7 @@ def dirichlet_reference(g: WeightedGraph, exhaustion: Exhaustion, t: float,
         raise InputError("t must be nonnegative")
     if any(float(v) < 0 for v in phi.values.values()):
         raise InputError("phi must be nonnegative")
-    return _monotone_limit(g, exhaustion, tol, phi,
+    return _monotone_limit(exhaustion, tol, phi,
                            lambda engine, vec: engine.heat_vec(t, vec),
                            "dirichlet heat reference")
 
@@ -273,7 +266,7 @@ def dirichlet_resolvent_reference(g: WeightedGraph, exhaustion: Exhaustion,
         raise InputError("alpha must be positive")
     if any(float(v) < 0 for v in f.values.values()):
         raise InputError("f must be nonnegative")
-    return _monotone_limit(g, exhaustion, tol, f,
+    return _monotone_limit(exhaustion, tol, f,
                            lambda engine, vec: engine.resolvent_vec(alpha, vec),
                            "dirichlet resolvent reference")
 
@@ -284,21 +277,21 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
                                    alpha: float | None = None,
                                    probe: int | None = None,
                                    self_tol: float = 1e-6,
-                                   ref_set: Sequence[int] | None = None) -> ConvergenceReport:
+                                   ref_exhaustion: Exhaustion | None = None) -> ConvergenceReport:
     """Distance curves of Neumann truncations against a Neumann reference.
 
     The reference is explicit when ``reference`` is given, or when
-    ``ref_set`` is: then it is the Neumann heat on that set, whose clamps
-    are counted with the iterates'.  An explicit reference must cover the
-    largest iterate set.  Without either, the last exhaustion set provides
-    the reference and must pass the self-consistency gate: its distance to
-    the previous iterate must fall below ``self_tol`` (no monotonicity is
-    available on the Neumann side).  When ``alpha`` is given, the resolvent
-    pairings <R_alpha phi, phi>_m are recorded per truncation.
+    ``ref_exhaustion`` is: then it is the Neumann heat on its last set, whose
+    clamps are counted with the iterates'.  An explicit reference must cover
+    the largest iterate set.  Without either, the last exhaustion set
+    provides the reference and must pass the self-consistency gate: its
+    distance to the previous iterate must fall below ``self_tol`` (no
+    monotonicity on the Neumann side).  When ``alpha`` is given, the
+    resolvent pairings <R_alpha phi, phi>_m are recorded per truncation.
     """
-    if reference is not None and ref_set is not None:
-        raise InputError("give an explicit reference or a reference set, not both")
-    explicit = reference is not None or ref_set is not None
+    if reference is not None and ref_exhaustion is not None:
+        raise InputError("give an explicit reference or a reference exhaustion, not both")
+    explicit = reference is not None or ref_exhaustion is not None
     sets = exhaustion.sets
     if not explicit and len(sets) < 3:
         raise InputError("self-consistent reference needs at least 3 exhaustion sets")
@@ -319,8 +312,7 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
 
     if reference is None:
         # the reference set has no pairing row, so it skips the resolvent
-        ref = (exhaustion, -1) if ref_set is None else (Exhaustion.build(g, [ref_set]), 0)
-        ref_map, _, ref_clamps = one(*ref, alpha=None)
+        ref_map, _, ref_clamps = one(ref_exhaustion or exhaustion, -1, alpha=None)
     else:
         ref_map = {x: float(v) for x, v in reference.values.items()}
         ref_clamps = 0
@@ -414,17 +406,17 @@ def l1_defect_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     (``heat_vecs``).
     """
     ref_ex = ref_exhaustion or exhaustion
-    for subset in (exhaustion.sets[-1], ref_ex.sets[-1]):
-        for x in subset:
-            if g.killing(x) != 0:
-                raise InputError(
-                    "stochastic-completeness experiment requires killing c = 0 "
-                    f"(violated at vertex {x})")
+    for x in exhaustion.sets[-1] + ref_ex.sets[-1]:
+        if g.killing(x) != 0:
+            raise InputError(
+                "stochastic-completeness experiment requires killing c = 0 "
+                f"(violated at vertex {x})")
     _check_phi(phi)
     ref, ref_info = dirichlet_reference(g, ref_ex, t, phi, tol)
     ref_map = ref.values
     phi_l1 = phi.norm(g, 1)
-    defect = phi_l1 - sum(abs(v) * float(g.measure(x)) for x, v in ref_map.items())
+    mass = _masses(g, [ref_map])
+    defect = phi_l1 - sum(abs(v) * mass[x] for x, v in ref_map.items())
     probe = probe if probe is not None else exhaustion.sets[0][0]
 
     def one(k):

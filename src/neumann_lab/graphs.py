@@ -257,13 +257,13 @@ class Exhaustion:
     The per-set vertex order is the insertion order: X_{k+1} lists X_k's
     vertices first, then the new ones, so extension-by-zero embeddings are
     index-stable across levels and set k is a prefix of the largest set.
-    ``_store`` holds the largest set's rows in that order, as far as
-    :func:`neumann_lab.operators.restrict` has read them.
+    ``_store`` is (that set, its rows as far as ``operators.restrict`` has
+    read them), and every slice ``ex[i:j]`` shares it.
     """
 
     graph: WeightedGraph
-    sets: tuple[tuple[int, ...], ...] = field(default=())
-    _store: list = field(default_factory=list, init=False, repr=False, compare=False)
+    sets: tuple[tuple[int, ...], ...]
+    _store: tuple = field(repr=False, compare=False)
 
     @staticmethod
     def build(graph: WeightedGraph, sets: Sequence[Sequence[int]]) -> "Exhaustion":
@@ -288,13 +288,18 @@ class Exhaustion:
                 raise InputError(f"exhaustion set {k} induces a disconnected subgraph")
             canon.append(tuple(ordered))
             prev, prev_set = ordered, raw_set
-        return Exhaustion(graph, tuple(canon))
+        return Exhaustion(graph, tuple(canon), (canon[-1], []))
 
     def __len__(self) -> int:
         return len(self.sets)
 
-    def __getitem__(self, k: int) -> tuple[int, ...]:
-        return self.sets[k]
+    def __getitem__(self, k):
+        """Set k, or for a slice the exhaustion of those sets."""
+        if not isinstance(k, slice):
+            return self.sets[k]
+        if not self.sets[k]:
+            raise InputError(f"empty slice of a {len(self)}-set exhaustion")
+        return Exhaustion(self.graph, self.sets[k], self._store)
 
 
 # -- pointwise operations --------------------------------------------------

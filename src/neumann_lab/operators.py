@@ -151,15 +151,16 @@ class RestrictedOperator:
 
 def restrict(ex: Exhaustion, k: int, kind: OperatorKind) -> RestrictedOperator:
     """The restriction of ``kind`` to set k of the exhaustion: the first n_k
-    rows of its row store, with their entries below n_k.  A row is stored
-    when a restriction first includes it, just before its conversion, so a
-    measure, killing or overflow error comes at the first set holding it.
-    An interior row (all neighbours in the set) is the same for both kinds
-    and every larger set, so its float row is converted once and its dicts
-    are shared by every operator read; a boundary row is converted per set."""
-    g, vertices, store = ex.graph, ex.sets[k], ex._store
+    rows of its row store (shared by its slices), with their entries below
+    n_k.  A row is stored when a restriction first includes it, just before
+    its conversion, so a measure, killing or overflow error comes at the
+    first set holding it.  An interior row (all neighbours in the set) is the
+    same for both kinds and every larger set, so its float row is converted
+    once and its dicts are shared by every operator read; a boundary row is
+    converted per set."""
+    g, vertices, (top, store) = ex.graph, ex.sets[k], ex._store
     n = len(vertices)
-    index = {x: i for i, x in enumerate(ex.sets[-1])} if len(store) < n else None
+    index = {x: i for i, x in enumerate(top)} if len(store) < n else None
     rows = []
     for i, x in enumerate(vertices):
         if i == len(store):
@@ -211,11 +212,9 @@ def assemble_neumann(g: WeightedGraph, subset: Sequence[int]) -> RestrictedOpera
 
 
 def dump_matrix(op: RestrictedOperator) -> str:
-    """Row/col/value triples of the dense matrix, for external verification."""
-    A = op.matrix
+    """Row/col/value triples of the matrix from its rows, for external verification."""
     lines = [f"# kind={op.kind.value} n={len(op)}"]
-    for i in range(len(op)):
-        for j in range(len(op)):
-            if A[i, j] != 0.0:
-                lines.append(f"{i} {j} {float(A[i, j])!r}")
+    for i, row in enumerate(op.offdiag):
+        entries = {j: -v for j, v in row.items()} | {i: float(op.diagonal[i])}
+        lines.extend(f"{i} {j} {v!r}" for j, v in sorted(entries.items()) if v != 0.0)
     return "\n".join(lines) + "\n"

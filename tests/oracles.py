@@ -45,6 +45,17 @@ def scale(op: RestrictedOperator) -> float:
     return float(op.diagonal.max())
 
 
+def dense_triples(op: RestrictedOperator) -> str:
+    """``dump_matrix`` as a scan of the dense matrix for every (i, j)."""
+    A = op.matrix
+    lines = [f"# kind={op.kind.value} n={len(op)}"]
+    for i in range(len(op)):
+        for j in range(len(op)):
+            if A[i, j] != 0.0:
+                lines.append(f"{i} {j} {float(A[i, j])!r}")
+    return "\n".join(lines) + "\n"
+
+
 def symmetrized(op: RestrictedOperator) -> np.ndarray:
     """S = M^{1/2} A M^{-1/2}: symmetric, same spectrum as A."""
     sqm = np.sqrt(op.measure_vector)

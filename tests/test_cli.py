@@ -3,10 +3,12 @@ import math
 
 import pytest
 
-from neumann_lab import models, semigroup
+from neumann_lab import graphs, models, semigroup
 from neumann_lab.cli import EXPERIMENTS, main, parse_certificates, parse_truncations
 from neumann_lab.models import reference_indices
 from neumann_lab.errors import InputError
+
+import report_configs
 
 
 def _reject_constant(name):
@@ -366,6 +368,49 @@ class TestExperiments:
         assert "at least two exhaustion sets" in payload["reason"]
         assert "last_increment" not in payload
 
+    @pytest.mark.parametrize("experiment", ["dirichlet-gap", "neumann-convergence",
+                                            "l1-defect", "feller", "gap"])
+    def test_measure_beyond_float_cap_is_input_error(self, capsys, experiment):
+        # each measure m(r) = 2^(1100 + r) is converted behind the float guard
+        code, payload = run_cli(capsys, "--model", "bd:custom", "--rate", "4**r",
+                                "--measure", "2**(1100+r)", "--truncations", "10:40:10",
+                                "--experiment", experiment)
+        assert code == 1
+        assert payload["error_kind"] == "input-error"
+        assert payload["reason"] == ("measure ~ 2^1100 exceeds the float cap 2^1000; "
+                                     "use a smaller truncation")
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "comb", "--experiment", "neumann-convergence",
+         "--truncations", "2:6", "--ref", "12"),
+        ("--model", "comb", "--experiment", "dirichlet-gap", "--truncations", "2:6"),
+        ("--model", "bd:explosive", "--experiment", "l1-defect"),
+        ("--model", "random:60", "--seed", "3", "--experiment", "l1-defect"),
+    ], ids=["comb-ref", "comb-gap", "explosive-l1", "random-l1"])
+    def test_one_exhaustion_per_run(self, capsys, monkeypatch, argv):
+        # the iterates and the reference are slices of one exhaustion
+        built = []
+        build = graphs.Exhaustion.build
+
+        def counted(g, sets):
+            built.append(build(g, sets))
+            return built[-1]
+
+        monkeypatch.setattr(graphs.Exhaustion, "build", staticmethod(counted))
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(built) == 1
+
+    def test_reference_capped_to_the_top_set_is_one_set(self, capsys):
+        # rectangle 22 is the largest below the float cap, so the reference
+        # exhaustion is the single top set and has no increment to stop on
+        code, payload = run_cli(capsys, "--model", "comb", "--experiment", "dirichlet-gap",
+                                "--truncations", "2:22")
+        assert code == 1
+        assert payload["error_kind"] == "input-error"
+        assert payload["reason"] == ("dirichlet heat reference needs at least two "
+                                     "exhaustion sets")
+
     def test_classify_partial_sums_beyond_float_range(self, tmp_path):
         # the hamburger partial sums pass 2^1024 before r = 1000
         out = tmp_path / "r"
@@ -423,6 +468,12 @@ def test_every_experiment_reports_on_every_family(capsys, model, experiment):
     assert payload["status"] in ("ok", "error")
     if code == 0:
         assert payload["status"] == "ok"
+
+
+def test_report_configs_keep_their_exit_codes(tmp_path):
+    codes = report_configs.write_reports(tmp_path)
+    assert codes == {name: code for name, _, code in report_configs.CONFIGS}
+    assert len(codes) == 36
 
 
 class TestDeterminism:

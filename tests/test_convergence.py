@@ -8,6 +8,7 @@ import pytest
 from neumann_lab import graphs, models
 from neumann_lab.convergence import (
     ConvergenceReport,
+    _monotone_limit,
     dirichlet_reference,
     dirichlet_resolvent_reference,
     dirichlet_gap_experiment,
@@ -92,6 +93,44 @@ class TestDirichletReference:
         assert ref(0) > 0
 
 
+def test_monotonicity_error_prints_plain_floats():
+    g = path_graph(4)
+    ex = Exhaustion.build(g, [[0, 1], [0, 1, 2]])
+    values = iter([0.5, 0.25])
+
+    def falling(engine, vec):
+        return np.full(len(vec), next(values))
+
+    with pytest.raises(NeumannLabError) as err:
+        _monotone_limit(ex, 1e-8, VertexFunction.indicator(0), falling, "probe")
+    assert str(err.value) == ("probe: truncation monotonicity violated at vertex 0: "
+                              "0.5 -> 0.25")
+
+
+@pytest.mark.parametrize("preset,indices", [("comb", [2, 3, 4, 5]),
+                                            ("bd:explosive", [10, 30, 60, 100])])
+def test_increments_are_the_vertexwise_sums(preset, indices):
+    # each increment sums |new - old| m(x) over the larger set in its vertex
+    # order, the previous vector extended by zero and m(x) a float
+    model = models.PRESETS[preset]()
+    ex = models.make_exhaustion(model, 0, indices=indices)
+    phi = VertexFunction.indicator(model.origin)
+    with pytest.raises(TruncationInsufficientError) as err:
+        dirichlet_reference(model.graph, ex, 1.0, phi, tol=1e-300)
+    expected, prev = [], None
+    for subset in ex.sets:
+        op = assemble_dirichlet(model.graph, subset)
+        heat = SemigroupEngine(op).heat_vec(1.0, op.local_vector(phi))
+        current = {x: float(v) for x, v in zip(op.vertices, heat)}
+        if prev is not None:
+            total = 0.0
+            for x, v in current.items():
+                total += abs(v - prev.get(x, 0.0)) * float(model.graph.measure(x))
+            expected.append(total)
+        prev = current
+    assert err.value.increments == expected
+
+
 class TestNeumannConvergence:
     def test_finite_graph_distance_zero_at_full_set(self):
         g = path_graph(6)
@@ -143,8 +182,10 @@ class TestNeumannConvergence:
             neumann_convergence_experiment(g, ex, 1.0, phi, reference=small_ref)
 
     def test_reference_set_gives_the_reference_and_its_clamps(self):
+        # the iterates and the reference are slices of one exhaustion, as in the CLI
         m = models.PRESETS["comb"]()
-        ex = models.make_exhaustion(m, 0, indices=[2, 3, 4, 5, 6])
+        full = models.make_exhaustion(m, 0, indices=[2, 3, 4, 5, 6, 9])
+        ex = full[:5]
         phi = VertexFunction.indicator(models.comb_vertex_id(0, 0))
         ref_set = models.comb_rectangle(9)
         op = assemble_neumann(m.graph, ref_set)
@@ -154,7 +195,7 @@ class TestNeumannConvergence:
         by_map = neumann_convergence_experiment(m.graph, ex, 1.0, phi,
                                                 reference=reference, alpha=1.0)
         by_set = neumann_convergence_experiment(m.graph, ex, 1.0, phi,
-                                                ref_set=ref_set, alpha=1.0)
+                                                ref_exhaustion=full[4:], alpha=1.0)
         assert engine.telemetry.clamped_entries > 0
         expected = by_map.to_json_dict()
         expected["metadata"]["clamped_entries"] += engine.telemetry.clamped_entries
@@ -167,9 +208,11 @@ class TestNeumannConvergence:
         ex = Exhaustion.build(g, [verts[:3], verts[:5]])
         phi = VertexFunction.indicator(0)
         with pytest.raises(InputError, match="cover"):
-            neumann_convergence_experiment(g, ex, 1.0, phi, ref_set=verts[:4])
+            neumann_convergence_experiment(g, ex, 1.0, phi,
+                                           ref_exhaustion=Exhaustion.build(g, [verts[:4]]))
         with pytest.raises(InputError, match="not both"):
-            neumann_convergence_experiment(g, ex, 1.0, phi, ref_set=verts,
+            neumann_convergence_experiment(g, ex, 1.0, phi,
+                                           ref_exhaustion=Exhaustion.build(g, [verts]),
                                            reference=VertexFunction({0: 1.0}))
 
     def test_self_consistency_gate(self):

@@ -223,6 +223,27 @@ class TestDump:
         assert len(rows) == 4
         assert rows[0].split() == ["0", "0", "1.0"]
 
+    def test_rows_give_the_dense_scan(self):
+        # the triples come from the float rows, in the dense scan's order
+        # and with its float reprs, also for entries that underflow to 0
+        ops = [assemble(models.make_comb(), models.comb_rectangle(j))
+               for j in (1, 6) for assemble in (assemble_dirichlet, assemble_neumann)]
+        explosive = models.PRESETS["bd:explosive"]().graph
+        ops += [assemble(explosive, range(200)) for assemble in (assemble_dirichlet,
+                                                                 assemble_neumann)]
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            g = random_connected_graph(rng, 40, with_killing=True)
+            ops.append(assemble_dirichlet(g, list(g.vertices())))
+        for op in ops:
+            assert dump_matrix(op) == oracles.dense_triples(op)
+
+    def test_sets_beyond_the_dense_cap_dump(self):
+        op = assemble_neumann(path_graph(5000), range(5000))
+        rows = dump_matrix(op).splitlines()
+        assert rows[0] == "# kind=neumann n=5000"
+        assert len(rows) == 1 + 3 * 5000 - 2
+
 
 def reference_ratio(num, den):
     """num/den as the float rows define it: the float nearest the exact
@@ -288,6 +309,47 @@ def assemble_in_turn(g, subsets):
                 check_float_rows(op)
                 assert op.graph is g
                 assert bits(op) == bits(assemble(g, ex.sets[k]))
+
+
+def slices_in_turn(g, subsets, m):
+    """Read both kinds of every set of the slices ``full[:m]`` (iterates)
+    and ``full[m-1:]`` (reference) of one exhaustion, in both orders of the
+    slices.  Each restriction equals, bit for bit, the one read off a freshly
+    built exhaustion of the slice's sets."""
+    for reference_first in (False, True):
+        full = Exhaustion.build(g, subsets)
+        parts = [full[:m], full[m - 1:]]
+        for part in reversed(parts) if reference_first else parts:
+            assert part._store is full._store
+            fresh = Exhaustion.build(g, part.sets)
+            for k in range(len(part)):
+                for kind in OperatorKind:
+                    assert bits(restrict(part, k, kind)) == bits(restrict(fresh, k, kind))
+
+
+class TestSlices:
+    def test_comb_rectangles(self):
+        g = models.make_comb()
+        slices_in_turn(g, [models.comb_rectangle(j) for j in range(2, 14)], 5)
+
+    def test_explosive_chain_to_480(self):
+        g = models.PRESETS["bd:explosive"]().graph
+        sizes = list(range(10, 201, 10)) + list(range(220, 481, 20))
+        slices_in_turn(g, [list(range(s)) for s in sizes], 20)
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(10):
+            g = random_connected_graph(rng, 40, with_killing=True)
+            subsets = nested_subsets(rng, g)
+            for m in range(1, len(subsets) + 1):
+                slices_in_turn(g, subsets, m)
+
+    @pytest.mark.parametrize("part", [slice(2, None), slice(1, 1), slice(5, 9)])
+    def test_empty_slice_rejected(self, part):
+        ex = Exhaustion.build(path_graph(4), [[0], [0, 1]])
+        with pytest.raises(InputError, match="empty"):
+            ex[part]
 
 
 class TestFloatRows:
