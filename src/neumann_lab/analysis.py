@@ -161,7 +161,7 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
     (VertexFunction, info) where info records the max gap, the references'
     convergence data and the positivity clamps of both references.
     """
-    if t <= 0:
+    if not 0 < t < math.inf:
         raise InputError("t must be positive")
     if len(exhaustion.sets) < 2:
         raise InputError("need at least two exhaustion sets")
@@ -217,7 +217,7 @@ def uniform_l1_check(g: WeightedGraph, subset: Sequence[int], horizon: float,
     supported, together with its neighbors, inside the subset so that the
     restricted operator agrees with the formal Laplacian on the support.
     """
-    if horizon < 0:
+    if not 0 <= horizon < math.inf:
         raise InputError("horizon must be nonnegative")
     if grid < 1:
         raise InputError("grid must have at least one time")

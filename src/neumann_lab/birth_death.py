@@ -23,11 +23,11 @@ decay rate is a Dirichlet resolvent, solved by the library's engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from .errors import InputError, NeumannLabError, TruncationInsufficientError, UndeterminedClassificationError
@@ -188,20 +188,14 @@ class BdClassification:
             return {"name": rec.name,
                     "last_partial_sum": _float_or_none(rec.last),
                     "verdict": rec.verdict,
-                    "certificate": None if rec.certificate is None else {
-                        "verdict": rec.certificate.verdict,
-                        "method": rec.certificate.method,
-                        "note": rec.certificate.note,
-                        "power": rec.certificate.power,
-                        "ratio": rec.certificate.ratio,
-                    }}
+                    "certificate": (None if rec.certificate is None
+                                    else asdict(rec.certificate))}
         return {
             "schema": 1,
             "experiment": "classify",
             "chain": self.chain,
             "horizon": self.horizon,
-            "measure_total": (None if self.measure_total is None
-                              else _float_or_none(self.measure_total)),
+            "measure_total": _float_or_none(self.measure_total),
             "measure_verdict": self.measure_verdict,
             "series_inv_b": series(self.series_inv_b),
             "series_tail": series(self.series_tail),
@@ -211,26 +205,6 @@ class BdClassification:
             "ess_self_adjoint": self.ess_self_adjoint,
             "undetermined": self.undetermined,
         }
-
-
-def _partial_sums(terms) -> list:
-    out = []
-    acc = 0
-    for t in terms:
-        acc = acc + t
-        out.append(acc)
-    return out
-
-
-def _tail_mass(chain: BdChain, r: int, prefix_mass):
-    """m(B_r^c) from the total mass; None when the total is not known."""
-    if chain.measure_total is None:
-        return None
-    tail = chain.measure_total - prefix_mass
-    if tail < 0:
-        raise InputError(
-            f"measure_total {chain.measure_total} smaller than prefix mass at r={r}")
-    return tail
 
 
 def classify(chain: BdChain, horizon: int,
@@ -253,24 +227,21 @@ def classify(chain: BdChain, horizon: int,
     rates = [chain.rate_at(r) for r in range(horizon + 1)]
     measures = [chain.measure_at(r) for r in range(horizon + 1)]
 
-    inv_b_terms = [1 / Fraction(b) if isinstance(b, (int, Fraction)) else 1.0 / b
-                   for b in rates]
-    inv_b_partials = _partial_sums(inv_b_terms)
-
-    measure_partials = _partial_sums(measures)
+    inv_b_partials = list(accumulate(
+        1 / Fraction(b) if isinstance(b, (int, Fraction)) else 1.0 / b for b in rates))
 
     tail_terms = []
-    tails_known = True
-    for r in range(horizon + 1):
-        tail = _tail_mass(chain, r, measure_partials[r])
-        if tail is None:
-            tails_known = False
-            break
-        tail_terms.append(tail / rates[r])
-    tail_partials = _partial_sums(tail_terms) if tails_known else []
+    if chain.measure_total is not None:
+        for r, prefix_mass in enumerate(accumulate(measures)):
+            tail = chain.measure_total - prefix_mass
+            if tail < 0:
+                raise InputError(
+                    f"measure_total {chain.measure_total} smaller than prefix mass at r={r}")
+            tail_terms.append(tail / rates[r])
+    tail_partials = list(accumulate(tail_terms))
 
-    hamb_terms = [(inv_b_partials[r]) ** 2 * measures[r + 1] for r in range(horizon)]
-    hamb_partials = _partial_sums(hamb_terms)
+    hamb_partials = list(accumulate(
+        s ** 2 * m for s, m in zip(inv_b_partials, measures[1:])))
 
     # measure verdict
     mcert = certs.get("measure")
@@ -355,7 +326,10 @@ class HarmonicSolution:
 
 def _mpf(value):
     """value as an mpf at the working precision, rounded once to nearest
-    (``mp.mpf`` rejects a Fraction, so it is divided out exactly)."""
+    (``mp.mpf`` rejects a Fraction, so it is divided out exactly).  mpmath
+    is imported here, on the inexact path only, to keep it out of start-up."""
+    import mpmath as mp
+
     if isinstance(value, Fraction):
         return mp.fdiv(value.numerator, value.denominator)
     return mp.mpf(value)
@@ -415,20 +389,17 @@ def solve_alpha_harmonic(chain: BdChain, alpha, u0, horizon: int) -> HarmonicSol
             raise NeumannLabError(
                 f"alpha-harmonic solution failed to increase at r = {r}: step {step!r}")
 
-    partial_l1 = _partial_sums(v * m for v, m in zip(values, measures))
+    partial_l1 = list(accumulate(v * m for v, m in zip(values, measures)))
 
     # running lower bounds: alpha u(0) m(0) * sum_{k<H} (sum_{k<r<=H} m(r))/b(k)
-    # computed incrementally as M(H) C(H) - sum_{k<H} M(k)/b(k)
+    # computed as M(H) C(H) - sum_{k<H} M(k)/b(k), M and C the prefix sums
+    # of m and 1/b
     alpha_tilde = alpha_n * values[0] * measures[0]
-    bounds = [0]
-    mass_prefix = measures[0]
-    inv_prefix = 0
-    weighted = 0
-    for h in range(1, horizon + 1):
-        inv_prefix = inv_prefix + 1 / rates[h - 1]
-        weighted = weighted + mass_prefix / rates[h - 1]
-        mass_prefix = mass_prefix + measures[h]
-        bounds.append(alpha_tilde * (mass_prefix * inv_prefix - weighted))
+    masses = list(accumulate(measures))
+    inv_prefix = accumulate(1 / b for b in rates[:horizon])
+    weighted = accumulate(mass / b for mass, b in zip(masses, rates[:horizon]))
+    bounds = [0] + [alpha_tilde * (mass * inv - w)
+                    for mass, inv, w in zip(masses[1:], inv_prefix, weighted)]
 
     # residual of the recursion over the interior, exact arithmetic -> 0;
     # normalize before leaving mpf so huge scales cannot overflow to inf

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -168,6 +169,9 @@ def run(args) -> tuple[dict, object]:
     """Execute the configured experiment; returns (json payload, report)."""
     if args.horizon < 1:
         raise InputError("horizon must be >= 1")
+    for flag, value in (("--t", args.t), ("--alpha", args.alpha), ("--tol", args.tol)):
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"{flag} must be finite, got {value}")
     if args.model == "bd:custom":
         if not args.rate or not args.measure:
             raise InputError("bd:custom needs --rate and --measure expressions")

@@ -249,7 +249,7 @@ def dirichlet_reference(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     domain monotonicity, which is asserted along the way.  Returns
     (VertexFunction, info dict).
     """
-    if t < 0:
+    if not 0 <= t < math.inf:
         raise InputError("t must be nonnegative")
     if any(float(v) < 0 for v in phi.values.values()):
         raise InputError("phi must be nonnegative")
@@ -262,7 +262,7 @@ def dirichlet_resolvent_reference(g: WeightedGraph, exhaustion: Exhaustion,
                                   alpha: float, f: VertexFunction,
                                   tol: float = DEFAULT_REFERENCE_TOL):
     """Monotone-limit proxy for the full-space Dirichlet resolvent."""
-    if alpha <= 0:
+    if not 0 < alpha < math.inf:
         raise InputError("alpha must be positive")
     if any(float(v) < 0 for v in f.values.values()):
         raise InputError("f must be nonnegative")

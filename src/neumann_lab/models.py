@@ -153,8 +153,6 @@ def _check_comb_cap(j: int):
 
 # -- expression-driven chains -------------------------------------------------
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-
 # deeper expressions are rejected, so evaluating one (a recursion per level)
 # stays far below Python's recursion limit
 MAX_EXPR_DEPTH = 100
@@ -182,63 +180,52 @@ def parse_sequence_expr(expr: str) -> Callable[[int], Fraction]:
     except (RecursionError, MemoryError):
         raise InputError("expression is nested too deeply to parse") from None
 
-    # iterative, so that depth is reported instead of exhausting the stack;
-    # the right operand is pushed first so errors are found left to right
-    stack = [(tree.body, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > MAX_EXPR_DEPTH:
-            raise InputError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            stack.append((node.right, depth + 1))
-            stack.append((node.left, depth + 1))
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            stack.append((node.operand, depth + 1))
-        elif isinstance(node, ast.Constant):
-            if not isinstance(node.value, int):
-                raise InputError(
-                    f"only integer literals are allowed in {expr!r} "
-                    f"(write rationals as fractions like 1/2)")
-        elif isinstance(node, ast.Name):
-            if node.id != "r":
-                raise InputError(f"unknown variable {node.id!r} in {expr!r}")
-        else:
-            raise InputError(f"disallowed syntax {type(node).__name__} in {expr!r}")
+    def divide(left: Fraction, right: Fraction, r: int) -> Fraction:
+        if right == 0:
+            raise InputError(f"division by zero in {expr!r} at r={r}")
+        return left / right
 
-    def evaluate(node: ast.AST, r: int) -> Fraction:
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, r)
-        if isinstance(node, ast.Constant):
-            return Fraction(node.value)
-        if isinstance(node, ast.Name):
-            return Fraction(r)
-        if isinstance(node, ast.UnaryOp):
-            v = evaluate(node.operand, r)
-            return -v if isinstance(node.op, ast.USub) else v
-        left = evaluate(node.left, r)
-        right = evaluate(node.right, r)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Div):
-            if right == 0:
-                raise InputError(f"division by zero in {expr!r} at r={r}")
-            return left / right
+    def power(left: Fraction, right: Fraction, r: int) -> Fraction:
         if right.denominator != 1:
             raise InputError(f"non-integer exponent in {expr!r} at r={r}")
         if left == 0 and right < 0:
             raise InputError(f"zero to a negative power in {expr!r} at r={r}")
-        exponent = int(right)
         bits = max(left.numerator.bit_length(), left.denominator.bit_length())
-        if abs(exponent) * bits > MAX_POWER_BITS:
+        if abs(int(right)) * bits > MAX_POWER_BITS:
             raise InputError(
                 f"power in {expr!r} at r={r} would exceed {MAX_POWER_BITS} bits")
-        return left ** exponent
+        return left ** int(right)
 
-    return lambda r: evaluate(tree, r)
+    binops = {ast.Add: lambda a, b, r: a + b, ast.Sub: lambda a, b, r: a - b,
+              ast.Mult: lambda a, b, r: a * b, ast.Div: divide, ast.Pow: power}
+
+    # each node is checked before its operands, the left before the right,
+    # so parse errors come in reading order and the depth bounds the recursion
+    def compile_node(node: ast.AST, depth: int) -> Callable[[int], Fraction]:
+        if depth > MAX_EXPR_DEPTH:
+            raise InputError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels")
+        if isinstance(node, ast.BinOp) and type(node.op) in binops:
+            op = binops[type(node.op)]
+            left = compile_node(node.left, depth + 1)
+            right = compile_node(node.right, depth + 1)
+            return lambda r: op(left(r), right(r), r)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            operand = compile_node(node.operand, depth + 1)
+            return (lambda r: -operand(r)) if isinstance(node.op, ast.USub) else operand
+        if isinstance(node, ast.Constant):
+            if not isinstance(node.value, int):
+                raise InputError(
+                    f"only integer literals are allowed in {expr!r} "
+                    f"(write rationals as fractions like 1/2)")
+            value = Fraction(node.value)
+            return lambda r: value
+        if isinstance(node, ast.Name):
+            if node.id != "r":
+                raise InputError(f"unknown variable {node.id!r} in {expr!r}")
+            return lambda r: Fraction(r)
+        raise InputError(f"disallowed syntax {type(node).__name__} in {expr!r}")
+
+    return compile_node(tree.body, 1)
 
 
 def make_bd_chain(rate, measure, name: str = "bd", *, measure_total=None,
@@ -330,14 +317,10 @@ def make_exhaustion(model: Model, count: int,
         _check_chain_cap(model, max(sizes))
         sets = [list(range(s)) for s in sizes]
     else:
-        verts = list(g.vertices())
-        dist = hop_distances(g, verts, model.origin)
+        dist = hop_distances(g, g.vertices(), model.origin)
+        order = sorted(dist, key=lambda v: (dist[v], v))  # the balls' common order
         radii = list(indices) if indices is not None else list(range(count))
-        sets = []
-        for r in radii:
-            ball = [v for v in verts if dist.get(v, math.inf) <= r]
-            ball.sort(key=lambda v: (dist[v], v))
-            sets.append(ball)
+        sets = [[v for v in order if dist[v] <= r] for r in radii]
     return Exhaustion.build(g, sets)
 
 

@@ -83,7 +83,7 @@ class SemigroupEngine:
 
     def resolvent_vec(self, alpha: float, vec: np.ndarray) -> np.ndarray:
         """(L + alpha)^{-1} vec via subtraction-free elimination."""
-        if alpha <= 0:
+        if not 0 < alpha < math.inf:
             raise InputError(f"resolvent parameter must be positive, got {alpha}")
         op = self.operator
         fac = _elim.gth_factor(op.offdiag, op.excess + alpha)
@@ -135,7 +135,7 @@ def heat_vecs(engines: list[SemigroupEngine], t: float, vec: np.ndarray) -> list
     the engine's own ``heat_vec`` bit for bit, and its tiny negatives are
     clamped to 0 (when vec >= 0) and counted in that engine's telemetry.
     """
-    if t < 0:
+    if not 0 <= t < math.inf:
         raise InputError(f"negative time t = {t}")
     vec = np.asarray(vec, dtype=float)
     offdiag = engines[0].operator.offdiag

@@ -72,6 +72,8 @@ CONFIGS = [
     ("explosive-nc-ref150", _run(EXPLOSIVE, "neumann-convergence",
                                  "--truncations", "10:100:10", "--ref", "150"), 0),
     ("random60-l1", _run(RANDOM60, "l1-defect"), 0),
+    ("unit-nc-t-nan", _run(UNIT, "neumann-convergence", "--t", "nan"), 1),
+    ("comb-ul1-t-inf", _run(COMB, "uniform-l1", "--truncations", "2:4", "--t", "inf"), 1),
 ]
 
 

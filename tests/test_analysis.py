@@ -116,6 +116,13 @@ class TestSemigroupGap:
             semigroup_gap(m.graph, ex, 1.0, 0, self_tol=dist / 2)
         assert exc.value.last_increment == dist
 
+    @pytest.mark.parametrize("t", [0.0, math.nan, math.inf])
+    def test_time_must_be_positive_and_finite(self, t):
+        m = models.PRESETS["bd:unit"]()
+        ex = models.make_exhaustion(m, 0, indices=[10, 20, 30])
+        with pytest.raises(InputError, match="t must be positive"):
+            semigroup_gap(m.graph, ex, t, 0)
+
 
 class TestMinimumPrinciple:
     def test_time_zero(self):
@@ -213,6 +220,12 @@ class TestUniformL1:
         with pytest.raises(InputError, match="unknown kind"):
             uniform_l1_check(m.graph, list(range(5)), 1.0,
                              VertexFunction.indicator(0), kind="neuman")
+
+    @pytest.mark.parametrize("horizon", [-1.0, math.nan, math.inf])
+    def test_horizon_must_be_nonnegative_and_finite(self, horizon):
+        m = models.PRESETS["bd:unit"]()
+        with pytest.raises(InputError, match="horizon must be nonnegative"):
+            uniform_l1_check(m.graph, list(range(5)), horizon, VertexFunction.indicator(0))
 
     def test_support_neighborhood_must_fit(self):
         m = models.PRESETS["bd:unit"]()

@@ -85,6 +85,21 @@ class TestClassify:
                 "hamburger": convergent("wrong"),
             })
 
+    @pytest.mark.parametrize("horizon", [2, 3, 1000])
+    def test_total_below_a_prefix_mass_is_rejected_at_its_index(self, horizon):
+        # prefix masses 1, 2, 3, ...: the first to exceed 5/2 is at r = 2
+        chain = BdChain(rate=lambda r: 1, measure=lambda r: 1,
+                        measure_total=Fraction(5, 2))
+        with pytest.raises(InputError) as exc:
+            classify(chain, horizon)
+        assert str(exc.value) == "measure_total 5/2 smaller than prefix mass at r=2"
+
+    def test_total_above_every_prefix_mass_gives_tail_sums(self):
+        chain = BdChain(rate=lambda r: 1, measure=lambda r: 1,
+                        measure_total=Fraction(5, 2))
+        c = classify(chain, 1)
+        assert c.series_tail.partial_sums == [Fraction(3, 2), Fraction(2)]
+
     def test_comparison_certificate_consistency_checked(self):
         with pytest.raises(InputError, match="inconsistent"):
             divergent("bad", power=2.0)

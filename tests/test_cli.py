@@ -380,6 +380,36 @@ class TestExperiments:
         assert payload["reason"] == ("measure ~ 2^1100 exceeds the float cap 2^1000; "
                                      "use a smaller truncation")
 
+    @pytest.mark.parametrize("argv,flag,value", [
+        (("--model", "bd:unit", "--experiment", "neumann-convergence", "--t", "nan"),
+         "--t", "nan"),
+        (("--model", "comb", "--experiment", "uniform-l1", "--truncations", "2:4",
+          "--t", "inf"), "--t", "inf"),
+        (("--model", "bd:geo", "--experiment", "classify", "--horizon", "50",
+          "--t", "nan"), "--t", "nan"),
+        (("--model", "bd:unit", "--experiment", "dirichlet-gap", "--t", "nan"), "--t", "nan"),
+        (("--model", "bd:unit", "--experiment", "l1-defect", "--t", "nan"), "--t", "nan"),
+        (("--model", "bd:unit", "--experiment", "gap", "--truncations", "10:60:10",
+          "--t", "nan"), "--t", "nan"),
+        (("--model", "bd:unit", "--experiment", "gap", "--t=-inf"), "--t", "-inf"),
+        (("--model", "comb", "--experiment", "feller", "--truncations", "2:6",
+          "--alpha", "nan"), "--alpha", "nan"),
+        (("--model", "comb", "--experiment", "feller", "--truncations", "2:6",
+          "--alpha", "inf"), "--alpha", "inf"),
+        (("--model", "bd:unit", "--experiment", "l1-defect", "--tol", "nan"),
+         "--tol", "nan"),
+    ], ids=["nc-t-nan", "ul1-t-inf", "classify-t-nan", "dgap-t-nan", "l1-t-nan",
+            "gap-t-nan", "gap-t-minus-inf", "feller-alpha-nan", "feller-alpha-inf",
+            "l1-tol-nan"])
+    def test_nonfinite_parameter_is_input_error(self, capsys, monkeypatch, argv, flag,
+                                                value):
+        # rejected before the model is built
+        monkeypatch.setattr(models, "build_model", None)
+        code, payload = run_cli(capsys, *argv)
+        assert code == 1
+        assert payload["error_kind"] == "input-error"
+        assert payload["reason"] == f"{flag} must be finite, got {value}"
+
     @pytest.mark.parametrize("argv", [
         ("--model", "comb", "--experiment", "neumann-convergence",
          "--truncations", "2:6", "--ref", "12"),
@@ -473,7 +503,10 @@ def test_every_experiment_reports_on_every_family(capsys, model, experiment):
 def test_report_configs_keep_their_exit_codes(tmp_path):
     codes = report_configs.write_reports(tmp_path)
     assert codes == {name: code for name, _, code in report_configs.CONFIGS}
-    assert len(codes) == 36
+    assert len(codes) == 38
+    # every report, error payloads included, is strict JSON
+    for name in codes:
+        load_report((tmp_path / f"{name}.json").read_text())
 
 
 class TestDeterminism:

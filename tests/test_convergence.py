@@ -84,6 +84,17 @@ class TestDirichletReference:
         with pytest.raises(InputError, match="nonnegative"):
             dirichlet_reference(g, ex, 1.0, VertexFunction({0: -1.0}), tol=1e-6)
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("reference,message", [
+        (dirichlet_reference, "t must be nonnegative"),
+        (dirichlet_resolvent_reference, "alpha must be positive"),
+    ])
+    def test_rejects_nonfinite_parameter(self, reference, message, value):
+        g = path_graph(4)
+        ex = full_exhaustion(g, [2])
+        with pytest.raises(InputError, match=message):
+            reference(g, ex, value, VertexFunction.indicator(0))
+
     def test_resolvent_variant(self):
         m = models.PRESETS["bd:unit"]()
         ex = models.make_exhaustion(m, 0, indices=[10, 20, 40, 80])

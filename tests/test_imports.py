@@ -4,7 +4,10 @@ import each other at the top, in one direction: ``models`` builds graphs
 and never reaches for the experiments."""
 
 import ast
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +76,16 @@ def test_only_birth_death_imports_mpmath():
             if any(name.split(".")[0] == "mpmath" for name in names):
                 importers.add(path.stem)
     assert importers == {"birth_death"}
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    """Only the inexact alpha-harmonic path imports mpmath, on first use."""
+    code = ("import sys, neumann_lab.cli; assert 'mpmath' not in sys.modules; "
+            "from neumann_lab import birth_death, models; "
+            "birth_death.solve_alpha_harmonic(models.PRESETS['bd:geo']().chain, 1.0, 1, 10); "
+            "assert 'mpmath' in sys.modules")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_models_does_not_import_the_experiments():

@@ -141,6 +141,56 @@ class TestExpressions:
         with pytest.raises(InputError, match="bits"):
             fn(0)
 
+    @pytest.mark.parametrize("expr,message", [
+        ("r % 2", "disallowed syntax BinOp in 'r % 2'"),
+        ("x + y", "unknown variable 'x' in 'x + y'"),
+        ("y + x", "unknown variable 'y' in 'y + x'"),
+        ("2.5*r", "only integer literals are allowed in '2.5*r' "
+                  "(write rationals as fractions like 1/2)"),
+        ("r" + "+r" * 1000, "expression nests deeper than 100 levels"),
+        ("x + 1/0", "unknown variable 'x' in 'x + 1/0'"),
+        ("1/(r-1) + r % 2", "disallowed syntax BinOp in '1/(r-1) + r % 2'"),
+        ("r" + "+r" * 120 + "+x", "expression nests deeper than 100 levels"),
+        ("r" + "+r" * 98 + "+x", "unknown variable 'x' in 'r" + "+r" * 98 + "+x'"),
+    ], ids=["mod", "unknown-x", "unknown-y", "float", "deep-sum", "variable-before-division",
+            "syntax-before-division", "depth-before-variable", "variable-at-depth-100"])
+    def test_parse_errors_come_in_reading_order(self, expr, message):
+        # a node is checked before its operands, the left before the right
+        with pytest.raises(InputError) as exc:
+            models.parse_sequence_expr(expr)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("expr,r,message", [
+        ("1/0", 0, "division by zero in '1/0' at r=0"),
+        ("1/0", 7, "division by zero in '1/0' at r=7"),
+        ("r**(1/2)", 2, "non-integer exponent in 'r**(1/2)' at r=2"),
+        ("0**(-r)", 1, "zero to a negative power in '0**(-r)' at r=1"),
+        ("2**(10**7)", 0, "power in '2**(10**7)' at r=0 would exceed 16777216 bits"),
+        ("1/(r-1) + 0**(-r)", 1, "division by zero in '1/(r-1) + 0**(-r)' at r=1"),
+        ("0**(-r) + 1/(r-1)", 1, "zero to a negative power in '0**(-r) + 1/(r-1)' at r=1"),
+    ])
+    def test_evaluation_errors_name_the_index(self, expr, r, message):
+        fn = models.parse_sequence_expr(expr)  # parses; the error comes at r
+        with pytest.raises(InputError) as exc:
+            fn(r)
+        assert str(exc.value) == message
+
+    def test_zero_to_the_zeroth_power_is_one(self):
+        assert models.parse_sequence_expr("0**(-r)")(0) == 1
+
+    @pytest.mark.parametrize("expr,exact", [
+        ("2**r", lambda r: Fraction(2) ** r),
+        ("2**(-r)", lambda r: Fraction(2) ** -r),
+        ("4**r", lambda r: Fraction(4) ** r),
+        ("1/(r+1)**2", lambda r: 1 / (Fraction(r) + 1) ** 2),
+    ])
+    def test_presets_match_fraction_arithmetic(self, expr, exact):
+        fn = models.parse_sequence_expr(expr)
+        for r in range(1001):
+            value = fn(r)
+            assert isinstance(value, Fraction)
+            assert value == exact(r)
+
     def test_rates_beyond_the_float_cap_stay_exact(self):
         assert models.parse_sequence_expr("4**r")(600) == 4 ** 600
         assert models.parse_sequence_expr("2**(-r)")(1500) == Fraction(1, 2 ** 1500)

@@ -73,6 +73,12 @@ class TestHeat:
         with pytest.raises(InputError, match="negative time"):
             heat_apply(e, -1.0, VertexFunction.indicator(0))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_time_rejected(self, t):
+        e = two_vertex_engine()
+        with pytest.raises(InputError, match="negative time"):
+            heat_apply(e, t, VertexFunction.indicator(0))
+
     def test_semigroup_property(self, rng):
         for _ in range(5):
             g = random_connected_graph(rng, 40, with_killing=True)
@@ -277,6 +283,12 @@ class TestResolvent:
         e = two_vertex_engine()
         with pytest.raises(InputError, match="positive"):
             e.resolvent_vec(0.0, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        e = two_vertex_engine()
+        with pytest.raises(InputError, match="resolvent parameter must be positive"):
+            e.resolvent_vec(alpha, np.array([1.0, 0.0]))
 
     def test_componentwise_accuracy_extreme_range(self):
         # closed form for a 2-vertex Dirichlet chain with one huge rate:
