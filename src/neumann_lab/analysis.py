@@ -11,7 +11,7 @@ the nonnegativity of the Neumann-minus-Dirichlet semigroup gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from .convergence import (
     DEFAULT_REFERENCE_TOL,
     GAP_FLOOR_ABSOLUTE,
+    _check_tol,
     _extended,
     _self_consistent,
     _truncation,
@@ -62,16 +63,7 @@ class FellerReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "experiment": "feller",
-            "alpha": self.alpha,
-            "source": self.source,
-            "ball_radii": self.ball_radii,
-            "sup_outside": self.sup_outside,
-            "verdict_hint": self.verdict_hint,
-            "metadata": self.metadata,
-        }
+        return {"schema": 1, "experiment": "feller", **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -106,6 +98,8 @@ def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
     the Neumann variant accepts the largest truncation after a
     self-consistency check against the previous one.
     """
+    _check_tol("tol", tol)
+    _check_tol("self_tol", self_tol)
     if x not in exhaustion.sets[0]:
         raise InputError("source vertex must lie in the smallest exhaustion set")
     delta = VertexFunction.delta(g, x)
@@ -162,7 +156,8 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
     convergence data and the positivity clamps of both references.
     """
     if not 0 < t < math.inf:
-        raise InputError("t must be positive")
+        raise InputError(f"t must be positive and finite, got {t}")
+    _check_tol("self_tol", self_tol)
     if len(exhaustion.sets) < 2:
         raise InputError("need at least two exhaustion sets")
     one_x = VertexFunction.indicator(x)
@@ -218,7 +213,7 @@ def uniform_l1_check(g: WeightedGraph, subset: Sequence[int], horizon: float,
     restricted operator agrees with the formal Laplacian on the support.
     """
     if not 0 <= horizon < math.inf:
-        raise InputError("horizon must be nonnegative")
+        raise InputError(f"horizon must be nonnegative and finite, got {horizon}")
     if grid < 1:
         raise InputError("grid must have at least one time")
     if kind not in ("dirichlet", "neumann"):

@@ -23,7 +23,7 @@ decay rate is a Dirichlet resolvent, solved by the library's engine.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable
@@ -184,27 +184,19 @@ class BdClassification:
         return None in (self.neumann_feller, self.nontrivial_l1_harmonic_exists)
 
     def to_json_dict(self) -> dict:
-        def series(rec: SeriesRecord) -> dict:
-            return {"name": rec.name,
-                    "last_partial_sum": _float_or_none(rec.last),
-                    "verdict": rec.verdict,
-                    "certificate": (None if rec.certificate is None
-                                    else asdict(rec.certificate))}
-        return {
-            "schema": 1,
-            "experiment": "classify",
-            "chain": self.chain,
-            "horizon": self.horizon,
-            "measure_total": _float_or_none(self.measure_total),
-            "measure_verdict": self.measure_verdict,
-            "series_inv_b": series(self.series_inv_b),
-            "series_tail": series(self.series_tail),
-            "hamburger": series(self.hamburger),
-            "neumann_feller": self.neumann_feller,
-            "nontrivial_l1_harmonic_exists": self.nontrivial_l1_harmonic_exists,
-            "ess_self_adjoint": self.ess_self_adjoint,
-            "undetermined": self.undetermined,
-        }
+        out = {"schema": 1, "experiment": "classify"}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, SeriesRecord):
+                value = {"name": value.name,
+                         "last_partial_sum": _float_or_none(value.last),
+                         "verdict": value.verdict,
+                         "certificate": (None if value.certificate is None
+                                         else asdict(value.certificate))}
+            out[f.name] = value
+        out["measure_total"] = _float_or_none(self.measure_total)
+        out["undetermined"] = self.undetermined
+        return out
 
 
 def classify(chain: BdChain, horizon: int,
@@ -429,7 +421,8 @@ MAX_COMB_DEPTH = (3 * int(math.log(np.finfo(float).tiny) / math.log(COMB_BETA)) 
 
 @dataclass(frozen=True)
 class CombBetaResult:
-    """Fitted geometric decay rate along the comb's first tooth."""
+    """Fitted geometric decay rate along the comb's first tooth.  Its JSON is
+    written key by key: it drops ``ratios`` and adds ``analytic_target``."""
 
     beta: float
     spread: float

@@ -142,7 +142,7 @@ def _report_rows(report):
         rows = [[r[c] for c in cols] for r in report.rows()]
         tidy = []
         for r in report.rows():
-            for metric in ("l1", "l2", "pointwise", "pairing", "bound"):
+            for metric in cols[2:]:
                 if r[metric] is not None:
                     tidy.append((r["k"], metric, r[metric]))
         return cols, rows, tidy
@@ -172,6 +172,8 @@ def run(args) -> tuple[dict, object]:
     for flag, value in (("--t", args.t), ("--alpha", args.alpha), ("--tol", args.tol)):
         if value is not None and not math.isfinite(value):
             raise InputError(f"{flag} must be finite, got {value}")
+    if args.tol <= 0:
+        raise InputError(f"--tol must be positive, got {args.tol}")
     if args.model == "bd:custom":
         if not args.rate or not args.measure:
             raise InputError("bd:custom needs --rate and --measure expressions")

@@ -13,7 +13,7 @@ below tolerance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,6 +119,12 @@ def _loglog_slope(sizes, distances) -> float | None:
             / sum((x - mx) ** 2 for x in xs))
 
 
+def _check_tol(name: str, value: float):
+    """Reject a stopping tolerance that is not a finite number > 0."""
+    if not 0 < value < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {value}")
+
+
 def _check_phi(phi: VertexFunction):
     if any(float(v) < 0 for v in phi.values.values()):
         raise InputError("phi must be nonnegative")
@@ -126,24 +132,25 @@ def _check_phi(phi: VertexFunction):
         raise InputError("phi must be nonzero")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ConvergenceReport:
     """Per-truncation distance curves plus experiment metadata.
 
     ``sizes[i]`` is |X_k| for the i-th truncation; the distance lists are
     measured against the reference named by ``reference_kind``.  The
     resolvent pairing column, when present, is checked nonincreasing at
-    construction time (it decreases exactly in theory).
+    construction time (it decreases exactly in theory).  The fields are
+    keyword-only, and their order is the order of the JSON keys.
     """
 
     experiment: str
     reference_kind: str
     t: float
+    alpha: float | None = None
     sizes: list[int]
     l1_distance: list[float]
     l2_distance: list[float]
     pointwise_distance: list[float]
-    alpha: float | None = None
     quadratic_pairings: list[float] | None = None
     l1_bounds: list[float] | None = None
     stochastic_defect: float | None = None
@@ -182,23 +189,7 @@ class ConvergenceReport:
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "experiment": self.experiment,
-            "reference_kind": self.reference_kind,
-            "t": self.t,
-            "alpha": self.alpha,
-            "sizes": self.sizes,
-            "l1_distance": self.l1_distance,
-            "l2_distance": self.l2_distance,
-            "pointwise_distance": self.pointwise_distance,
-            "quadratic_pairings": self.quadratic_pairings,
-            "l1_bounds": self.l1_bounds,
-            "stochastic_defect": self.stochastic_defect,
-            "gap_floor": self.gap_floor,
-            "floor_threshold": self.floor_threshold,
-            "metadata": self.metadata,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 def _monotone_limit(exhaustion: Exhaustion, tol: float, f: VertexFunction, action, what: str):
@@ -211,6 +202,7 @@ def _monotone_limit(exhaustion: Exhaustion, tol: float, f: VertexFunction, actio
     with every increment when the exhaustion ends first.  A single set gives
     no increment at all, so it is rejected before any solve.
     """
+    _check_tol("tol", tol)
     if len(exhaustion.sets) < 2:
         raise InputError(f"{what} needs at least two exhaustion sets")
     prev: list[float] | None = None
@@ -250,7 +242,7 @@ def dirichlet_reference(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     (VertexFunction, info dict).
     """
     if not 0 <= t < math.inf:
-        raise InputError("t must be nonnegative")
+        raise InputError(f"t must be nonnegative and finite, got {t}")
     if any(float(v) < 0 for v in phi.values.values()):
         raise InputError("phi must be nonnegative")
     return _monotone_limit(exhaustion, tol, phi,
@@ -263,7 +255,7 @@ def dirichlet_resolvent_reference(g: WeightedGraph, exhaustion: Exhaustion,
                                   tol: float = DEFAULT_REFERENCE_TOL):
     """Monotone-limit proxy for the full-space Dirichlet resolvent."""
     if not 0 < alpha < math.inf:
-        raise InputError("alpha must be positive")
+        raise InputError(f"alpha must be positive and finite, got {alpha}")
     if any(float(v) < 0 for v in f.values.values()):
         raise InputError("f must be nonnegative")
     return _monotone_limit(exhaustion, tol, f,
@@ -289,6 +281,7 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
     monotonicity on the Neumann side).  When ``alpha`` is given, the
     resolvent pairings <R_alpha phi, phi>_m are recorded per truncation.
     """
+    _check_tol("self_tol", self_tol)
     if reference is not None and ref_exhaustion is not None:
         raise InputError("give an explicit reference or a reference exhaustion, not both")
     explicit = reference is not None or ref_exhaustion is not None

@@ -122,21 +122,13 @@ def make_comb() -> WeightedGraph:
 
 
 def comb_rectangle(j: int) -> list[int]:
-    """Vertex ids of {(k, n): k <= 2j, n <= j}, new-level ordering by (n, k)."""
+    """Vertex ids of {(k, n): k <= 2j, n <= j}, new-level ordering by (n, k):
+    vertex (k, n) is new at level max(ceil(k/2), n)."""
     if j < 0:
         raise InputError("rectangle index must be nonnegative")
     _check_comb_cap(j)
-    out = []
-    for jj in range(j + 1):
-        # vertices new to level jj, sorted by (n, k)
-        fresh = []
-        for n in range(jj + 1):
-            for k in range(2 * jj + 1):
-                if jj == 0 or not (k <= 2 * (jj - 1) and n <= jj - 1):
-                    fresh.append((n, k))
-        fresh.sort()
-        out.extend(comb_vertex_id(k, n) for n, k in fresh)
-    return out
+    cells = sorted((max((k + 1) // 2, n), n, k) for n in range(j + 1) for k in range(2 * j + 1))
+    return [comb_vertex_id(k, n) for _, n, k in cells]
 
 
 def _check_comb_cap(j: int):

@@ -184,7 +184,7 @@ def restrict(ex: Exhaustion, k: int, kind: OperatorKind) -> RestrictedOperator:
             # the degree is the row's largest value, so an overflowing row
             # fails on it first
             degree = _float_guard(_exact_ratio(inner + kill, mx), f"degree at vertex {x}")
-            floats = ({j: _float_guard(_exact_ratio(b, mx), f"entry ({x},{vertices[j]})")
+            floats = ({j: _float_guard(_exact_ratio(b, mx), "entry")
                        for j, b in row.items()},
                       _float_guard(_exact_ratio(kill, mx), "excess"), degree)
             if interior:

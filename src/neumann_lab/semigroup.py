@@ -84,7 +84,7 @@ class SemigroupEngine:
     def resolvent_vec(self, alpha: float, vec: np.ndarray) -> np.ndarray:
         """(L + alpha)^{-1} vec via subtraction-free elimination."""
         if not 0 < alpha < math.inf:
-            raise InputError(f"resolvent parameter must be positive, got {alpha}")
+            raise InputError(f"resolvent parameter must be positive and finite, got {alpha}")
         op = self.operator
         fac = _elim.gth_factor(op.offdiag, op.excess + alpha)
         return fac.solve(np.asarray(vec, dtype=float))
@@ -136,7 +136,7 @@ def heat_vecs(engines: list[SemigroupEngine], t: float, vec: np.ndarray) -> list
     clamped to 0 (when vec >= 0) and counted in that engine's telemetry.
     """
     if not 0 <= t < math.inf:
-        raise InputError(f"negative time t = {t}")
+        raise InputError(f"time t must be nonnegative and finite, got {t}")
     vec = np.asarray(vec, dtype=float)
     offdiag = engines[0].operator.offdiag
     if any(e.operator.offdiag != offdiag for e in engines[1:]):

@@ -120,7 +120,7 @@ class TestSemigroupGap:
     def test_time_must_be_positive_and_finite(self, t):
         m = models.PRESETS["bd:unit"]()
         ex = models.make_exhaustion(m, 0, indices=[10, 20, 30])
-        with pytest.raises(InputError, match="t must be positive"):
+        with pytest.raises(InputError, match=f"t must be positive and finite, got {t}"):
             semigroup_gap(m.graph, ex, t, 0)
 
 
@@ -224,7 +224,8 @@ class TestUniformL1:
     @pytest.mark.parametrize("horizon", [-1.0, math.nan, math.inf])
     def test_horizon_must_be_nonnegative_and_finite(self, horizon):
         m = models.PRESETS["bd:unit"]()
-        with pytest.raises(InputError, match="horizon must be nonnegative"):
+        with pytest.raises(InputError,
+                           match=f"horizon must be nonnegative and finite, got {horizon}"):
             uniform_l1_check(m.graph, list(range(5)), horizon, VertexFunction.indicator(0))
 
     def test_support_neighborhood_must_fit(self):

@@ -410,6 +410,16 @@ class TestExperiments:
         assert payload["error_kind"] == "input-error"
         assert payload["reason"] == f"{flag} must be finite, got {value}"
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("experiment", ["l1-defect", "gap"])
+    def test_nonpositive_tol_is_input_error(self, capsys, monkeypatch, experiment, value):
+        monkeypatch.setattr(models, "build_model", None)
+        code, payload = run_cli(capsys, "--model", "bd:unit", "--experiment", experiment,
+                                "--tol", value)
+        assert code == 1
+        assert payload["error_kind"] == "input-error"
+        assert payload["reason"] == f"--tol must be positive, got {float(value)}"
+
     @pytest.mark.parametrize("argv", [
         ("--model", "comb", "--experiment", "neumann-convergence",
          "--truncations", "2:6", "--ref", "12"),
@@ -500,13 +510,46 @@ def test_every_experiment_reports_on_every_family(capsys, model, experiment):
         assert payload["status"] == "ok"
 
 
+CONVERGENCE_KEYS = ["schema", "experiment", "reference_kind", "t", "alpha", "sizes",
+                    "l1_distance", "l2_distance", "pointwise_distance",
+                    "quadratic_pairings", "l1_bounds", "stochastic_defect", "gap_floor",
+                    "floor_threshold", "metadata", "status", "config", "timestamp"]
+
+# the top-level keys of each successful schema-1 report, in order
+REPORT_KEYS = {
+    "neumann-convergence": CONVERGENCE_KEYS,
+    "dirichlet-gap": CONVERGENCE_KEYS,
+    "l1-defect": CONVERGENCE_KEYS,
+    "feller": ["schema", "experiment", "alpha", "source", "ball_radii", "sup_outside",
+               "verdict_hint", "metadata", "status", "config", "timestamp"],
+    "gap": ["schema", "experiment", "t", "source", "gap_at_source", "max_gap",
+            "self_distance", "metadata", "status", "config", "timestamp"],
+    "classify": ["schema", "experiment", "chain", "horizon", "measure_total",
+                 "measure_verdict", "series_inv_b", "series_tail", "hamburger",
+                 "neumann_feller", "nontrivial_l1_harmonic_exists", "ess_self_adjoint",
+                 "undetermined", "status", "config", "timestamp"],
+    "comb-beta": ["schema", "experiment", "beta", "spread", "depth", "window",
+                  "analytic_target", "status", "config", "timestamp"],
+    "uniform-l1": ["schema", "experiment", "T", "value", "bound", "grid", "kind",
+                   "metadata", "status", "config", "timestamp"],
+    "ec": ["schema", "experiment", "constant", "window_size", "sizes", "constants",
+           "metadata", "status", "config", "timestamp"],
+}
+
+
 def test_report_configs_keep_their_exit_codes(tmp_path):
     codes = report_configs.write_reports(tmp_path)
     assert codes == {name: code for name, _, code in report_configs.CONFIGS}
     assert len(codes) == 38
-    # every report, error payloads included, is strict JSON
-    for name in codes:
-        load_report((tmp_path / f"{name}.json").read_text())
+    checked = set()
+    for name, argv, _ in report_configs.CONFIGS:
+        # every report, error payloads included, is strict JSON
+        payload = load_report((tmp_path / f"{name}.json").read_text())
+        if payload["status"] == "ok":
+            dump = ["matrix_dump"] if "--dump-matrix" in argv else []
+            assert list(payload) == REPORT_KEYS[payload["experiment"]] + dump, name
+            checked.add(payload["experiment"])
+    assert checked == set(REPORT_KEYS)
 
 
 class TestDeterminism:

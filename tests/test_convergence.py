@@ -1,11 +1,13 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from neumann_lab import graphs, models
+from neumann_lab import convergence, graphs, models
+from neumann_lab.analysis import feller_estimate, semigroup_gap
 from neumann_lab.convergence import (
     ConvergenceReport,
     _monotone_limit,
@@ -86,13 +88,13 @@ class TestDirichletReference:
 
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
     @pytest.mark.parametrize("reference,message", [
-        (dirichlet_reference, "t must be nonnegative"),
-        (dirichlet_resolvent_reference, "alpha must be positive"),
+        (dirichlet_reference, "t must be nonnegative and finite"),
+        (dirichlet_resolvent_reference, "alpha must be positive and finite"),
     ])
     def test_rejects_nonfinite_parameter(self, reference, message, value):
         g = path_graph(4)
         ex = full_exhaustion(g, [2])
-        with pytest.raises(InputError, match=message):
+        with pytest.raises(InputError, match=re.escape(f"{message}, got {value}")):
             reference(g, ex, value, VertexFunction.indicator(0))
 
     def test_resolvent_variant(self):
@@ -424,3 +426,52 @@ class TestReportShape:
                 experiment="x", reference_kind="y", t=1.0, sizes=[1, 2],
                 l1_distance=[0.0], l2_distance=[0.0, 0.0],
                 pointwise_distance=[0.0, 0.0])
+
+    def test_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            ConvergenceReport("x", "y", 1.0, [1], [0.0], [0.0], [0.0])
+
+
+def _unit_prefixes():
+    m = models.PRESETS["bd:unit"]()
+    return m.graph, models.make_exhaustion(m, 0, indices=[10, 20, 30])
+
+
+PHI = VertexFunction.indicator(0)
+
+TOLERANCE_CALLS = {
+    "reference": ("tol", lambda g, ex, v: dirichlet_reference(g, ex, 1.0, PHI, tol=v)),
+    "resolvent-reference": (
+        "tol", lambda g, ex, v: dirichlet_resolvent_reference(g, ex, 1.0, PHI, tol=v)),
+    "dirichlet-gap": ("tol", lambda g, ex, v: dirichlet_gap_experiment(g, ex, 1.0, PHI, tol=v)),
+    "l1-defect": ("tol", lambda g, ex, v: l1_defect_experiment(g, ex, 1.0, PHI, tol=v)),
+    "neumann-convergence": (
+        "self_tol", lambda g, ex, v: neumann_convergence_experiment(g, ex, 1.0, PHI,
+                                                                    self_tol=v)),
+    "feller": ("tol", lambda g, ex, v: feller_estimate(g, ex, 1.0, 0, tol=v)),
+    "feller-neumann": (
+        "tol", lambda g, ex, v: feller_estimate(g, ex, 1.0, 0, kind="neumann", tol=v)),
+    "feller-self": (
+        "self_tol", lambda g, ex, v: feller_estimate(g, ex, 1.0, 0, kind="neumann",
+                                                     self_tol=v)),
+    "gap": ("tol", lambda g, ex, v: semigroup_gap(g, ex, 1.0, 0, tol=v)),
+    "gap-self": ("self_tol", lambda g, ex, v: semigroup_gap(g, ex, 1.0, 0, self_tol=v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("call", TOLERANCE_CALLS)
+def test_tolerance_must_be_positive_and_finite(call, value, monkeypatch):
+    # rejected before the first solve: unchecked, the reference loop reads
+    # tol=nan as a truncation failure and tol=inf as convergence at set two
+    def no_solve(*args):
+        raise AssertionError("solved with an invalid tolerance")
+
+    monkeypatch.setattr(SemigroupEngine, "heat_vec", no_solve)
+    monkeypatch.setattr(SemigroupEngine, "resolvent_vec", no_solve)
+    monkeypatch.setattr(convergence, "heat_vecs", no_solve)
+    name, run = TOLERANCE_CALLS[call]
+    g, ex = _unit_prefixes()
+    with pytest.raises(InputError,
+                       match=re.escape(f"{name} must be positive and finite, got {value}")):
+        run(g, ex, value)

@@ -50,6 +50,17 @@ class TestExhaustions:
         labels = {models.comb_vertex_label(v) for v in rect}
         assert labels == {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)}
 
+    def test_comb_rectangle_lists_each_level_in_turn(self):
+        # level jj adds the cells of the jj-rectangle outside the (jj-1)-one,
+        # sorted by (n, k); 22 is the largest index below the float cap
+        for j in range(23):
+            expected = []
+            for jj in range(j + 1):
+                fresh = sorted((n, k) for n in range(jj + 1) for k in range(2 * jj + 1)
+                               if jj == 0 or k > 2 * (jj - 1) or n > jj - 1)
+                expected += [models.comb_vertex_id(k, n) for n, k in fresh]
+            assert models.comb_rectangle(j) == expected
+
     def test_comb_rectangles_nested_and_connected(self):
         m = models.PRESETS["comb"]()
         ex = models.make_exhaustion(m, 5)
