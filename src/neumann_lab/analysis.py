@@ -20,8 +20,8 @@ from .convergence import (
     DEFAULT_REFERENCE_TOL,
     GAP_FLOOR_ABSOLUTE,
     _check_tol,
-    _extended,
-    _self_consistent,
+    _layout,
+    _neumann_gate,
     _truncation,
     dirichlet_reference,
     dirichlet_resolvent_reference,
@@ -77,17 +77,6 @@ class UniformL1Result:
     kind: str
 
 
-def _largest_two(exhaustion: Exhaustion, f: VertexFunction, action):
-    """``action(engine, vec)`` on the Neumann restrictions to the two largest
-    exhaustion sets, each extended by zero, and the two engines' clamps."""
-    outs, clamps = [], 0
-    for k in (-2, -1):
-        op, engine, vec = _truncation(exhaustion, k, f)
-        outs.append(_extended(op, action(engine, vec)))
-        clamps += engine.telemetry.clamped_entries
-    return outs, clamps
-
-
 def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
                     x: int, kind: str = "dirichlet",
                     tol: float = DEFAULT_REFERENCE_TOL,
@@ -105,25 +94,23 @@ def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
     delta = VertexFunction.delta(g, x)
     if kind == "dirichlet":
         ref, info = dirichlet_resolvent_reference(g, exhaustion, alpha, delta, tol)
-        ref_map = ref.values
+        support = list(ref.values)  # the limit's nonzero entries
+        values = np.fromiter(ref.values.values(), dtype=float)
     elif kind == "neumann":
         if len(exhaustion.sets) < 2:
             raise InputError("neumann variant needs at least two exhaustion sets")
-        (prev, ref_map), _ = _largest_two(
-            exhaustion, delta, lambda engine, vec: engine.resolvent_vec(alpha, vec))
-        info = {"self_distance": _self_consistent(
-            g, [prev, ref_map], self_tol, "neumann resolvent reference")}
+        vecs = [engine.resolvent_vec(alpha, vec) for _, engine, vec
+                in (_truncation(exhaustion, k, delta) for k in (-2, -1))]
+        support, values = exhaustion.sets[-1], vecs[-1]
+        info = {"self_distance": _neumann_gate(vecs, _layout(g, support, ())[2], self_tol,
+                                               "neumann resolvent reference")}
     else:
         raise InputError(f"unknown kind {kind!r}")
 
-    support = list(ref_map)
     dist = hop_distances(g, support, x)
-    max_radius = max(dist.values(), default=0)
-    radii = list(range(max_radius + 1))
-    sup_outside = []
-    for r in radii:
-        outside = [abs(v) for vert, v in ref_map.items() if dist.get(vert, math.inf) > r]
-        sup_outside.append(max(outside, default=0.0))
+    radius = np.array([dist.get(v, math.inf) for v in support])
+    radii = list(range(max(dist.values(), default=0) + 1))
+    sup_outside = [float(np.abs(values[radius > r]).max(initial=0.0)) for r in radii]
     threshold = max(10 * tol, GAP_FLOOR_ABSOLUTE)
     # on an infinite graph the largest ball's empty exterior is an artifact
     # of the truncation, so judge decay on the farthest nonvacuous shell; a
@@ -162,26 +149,28 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
         raise InputError("need at least two exhaustion sets")
     one_x = VertexFunction.indicator(x)
     d_ref, d_info = dirichlet_reference(g, exhaustion, t, one_x, tol)
-    (prev, n_map), n_clamps = _largest_two(exhaustion, one_x,
-                                           lambda engine, vec: engine.heat_vec(t, vec))
-    self_dist = _self_consistent(g, [prev, n_map], self_tol, "neumann heat reference")
-    d_map = d_ref.values
-    gap = {}
-    for v in set(n_map) | set(d_map):
-        value = n_map.get(v, 0.0) - d_map.get(v, 0.0)
-        if value < -GAP_NEGATIVITY_SLACK:
-            raise NeumannLabError(
-                f"semigroup domination violated at vertex {v}: gap {value!r}")
-        gap[v] = max(value, 0.0)
+    engines = [_truncation(exhaustion, k, one_x)[1:] for k in (-2, -1)]
+    n_vecs = [engine.heat_vec(t, vec) for engine, vec in engines]
+    n_clamps = sum(engine.telemetry.clamped_entries for engine, _ in engines)
+    top = exhaustion.sets[-1]
+    index, d_vec, mass = _layout(g, top, d_ref.values.items())
+    self_dist = _neumann_gate(n_vecs, mass, self_tol, "neumann heat reference")
+    gap = n_vecs[-1] - d_vec
+    below = np.flatnonzero(gap < -GAP_NEGATIVITY_SLACK)
+    if below.size:
+        i = below[0]
+        raise NeumannLabError(
+            f"semigroup domination violated at vertex {top[i]}: gap {gap[i].item()!r}")
+    gap = np.where(gap < 0.0, 0.0, gap)
     info = {
-        "gap_at_source": gap.get(x, 0.0),
-        "max_gap": max(gap.values(), default=0.0),
+        "gap_at_source": float(gap[index[x]]),
+        "max_gap": float(gap.max()),
         "self_distance": self_dist,
         "dirichlet_info": d_info,
         "tol": tol,
         "clamped_entries": d_info["clamped_entries"] + n_clamps,
     }
-    return VertexFunction(gap), info
+    return VertexFunction(dict(zip(top, gap.tolist()))), info
 
 
 def ec_constant(g: WeightedGraph, window: Sequence[int]) -> float:

@@ -344,10 +344,10 @@ def solve_alpha_harmonic(chain: BdChain, alpha, u0, horizon: int) -> HarmonicSol
     """
     if horizon < 2:
         raise InputError("horizon must be >= 2")
-    if alpha <= 0:
-        raise InputError("alpha must be positive")
-    if u0 < 0:
-        raise InputError("u0 must be nonnegative")
+    if not 0 < alpha < math.inf:
+        raise InputError(f"alpha must be positive and finite, got {alpha}")
+    if not 0 <= u0 < math.inf:
+        raise InputError(f"u0 must be nonnegative and finite, got {u0}")
 
     rates = [chain.rate_at(r) for r in range(horizon + 1)]
     measures = [chain.measure_at(r) for r in range(horizon + 1)]

@@ -6,8 +6,11 @@ The Dirichlet side enjoys domain monotonicity (truncations increase
 entrywise for nonnegative data), so its reference is a monotone limit with
 an increment stopping rule.  The Neumann side has no monotonicity; when no
 explicit reference is supplied, the largest truncation is accepted only
-after a self-consistency check (distance between the two largest iterates
-below tolerance).
+after one gate (``_neumann_gate``): its l2 distance to the previous iterate
+must fall below tolerance.  Every distance is measured on one layout
+(``_layout``): the iterates' largest set, of which each iterate is a
+prefix, then any reference vertex outside it, as zero-padded float64 arrays
+(``_distances``).
 """
 
 from __future__ import annotations
@@ -57,10 +60,6 @@ def _ordered_map(fn: Callable, items: Sequence) -> list:
     return [fn(x) for x in items]
 
 
-def _extended(op, vec) -> dict[int, float]:
-    return {x: float(v) for x, v in zip(op.vertices, vec)}
-
-
 def _truncation(ex: Exhaustion, k: int, f: VertexFunction, kind=OperatorKind.NEUMANN):
     """One truncation step: the restriction to set k, its engine and f as a
     local vector (``local_vector`` rejects f supported outside)."""
@@ -68,40 +67,48 @@ def _truncation(ex: Exhaustion, k: int, f: VertexFunction, kind=OperatorKind.NEU
     return op, SemigroupEngine(op), op.local_vector(f)
 
 
-def _masses(g: WeightedGraph, maps) -> dict[int, float]:
-    """m(x) as a float for every vertex of the maps, each converted once."""
-    return {x: _float_guard(g.measure(x), "measure") for x in set().union(*maps)}
+def _layout(g: WeightedGraph, top: Sequence[int], ref_items):
+    """The one vertex order of a run's distances: the iterates' largest set
+    ``top``, then the reference's vertices outside it in the reference's
+    order.  Returns it as {vertex: position}, the reference ((vertex, value)
+    pairs) zero-padded on it, and the float masses on it."""
+    index = {x: i for i, x in enumerate(top)}
+    placed = {index.setdefault(x, len(index)): float(v) for x, v in ref_items}
+    ref = np.zeros(len(index))
+    ref[list(placed)] = list(placed.values())
+    return index, ref, np.array([_float_guard(g.measure(x), "measure") for x in index])
 
 
-def _distance(a: dict[int, float], b: dict[int, float], mass: dict[int, float], probe):
-    """l1(m), l2(m) and |a - b| at the probe, both extended by zero; ``mass``
-    holds m(x) as a float for every vertex of a or b."""
-    diff = {x: a.get(x, 0.0) - b.get(x, 0.0) for x in set(a) | set(b)}
-    l1 = sum(abs(v) * mass[x] for x, v in diff.items())
-    l2 = math.sqrt(sum(v * v * mass[x] for x, v in diff.items()))
-    return l1, l2, abs(diff.get(probe, 0.0))
+def _distances(vectors, ref: np.ndarray, mass: np.ndarray, probe: int | None):
+    """The l1(m), l2(m) and pointwise distance lists of each vector, a
+    prefix of the layout extended by zero, to ``ref`` (``probe``: a position,
+    or None off the layout).  l1 sums |d| m correctly rounded, in any order;
+    l2 scales d by max |d| before squaring, as BLAS nrm2 does, so a
+    difference whose square underflows still counts."""
+    l1s, l2s, points = [], [], []
+    for vec in vectors:
+        d = np.abs(ref - np.pad(vec, (0, len(ref) - len(vec))))
+        scale = float(d.max(initial=0.0))
+        l1s.append(math.fsum(d * mass))
+        l2s.append(scale * math.sqrt(math.fsum((d / scale) ** 2 * mass)) if scale else 0.0)
+        points.append(0.0 if probe is None else float(d[probe]))
+    return l1s, l2s, points
 
 
-def _curve(maps, ref_map: dict[int, float], g: WeightedGraph, probe):
-    """The l1, l2 and pointwise distance lists of each map to the reference."""
-    mass = _masses(g, maps + [ref_map])
-    rows = [_distance(m, ref_map, mass, probe) for m in maps]
-    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+def _neumann_gate(vectors, mass: np.ndarray, tol: float, what: str) -> float:
+    """Gate for a Neumann reference taken from the last of ``vectors``, each
+    a prefix of it with masses ``mass`` (no monotonicity on the Neumann
+    side): its l2(m) distance to the one before must not exceed tol.  Returns
+    that distance; the error carries every consecutive l2 distance."""
+    def step(a, b):
+        return _distances([a], b, mass[:len(b)], None)[1][0]
 
-
-def _self_consistent(g: WeightedGraph, maps: list[dict[int, float]], tol: float,
-                     what: str) -> float:
-    """Gate for a Neumann reference taken from the largest truncation, which
-    has no monotonicity: its l2(m) distance to the previous iterate (the
-    last two of ``maps``) must not exceed tol.  Returns that distance; the
-    error carries the l2 distances between all consecutive ``maps``."""
-    mass = _masses(g, maps)
-    _, dist, _ = _distance(maps[-1], maps[-2], mass, None)
+    dist = step(*vectors[-2:])
     if dist > tol:
         raise TruncationInsufficientError(
             f"{what} not self-consistent: l2 distance {dist:.3e} above {tol:.3e}",
             last_increment=dist,
-            increments=[_distance(b, a, mass, None)[1] for a, b in zip(maps, maps[1:])])
+            increments=[step(a, b) for a, b in zip(vectors, vectors[1:])])
     return dist
 
 
@@ -205,27 +212,25 @@ def _monotone_limit(exhaustion: Exhaustion, tol: float, f: VertexFunction, actio
     _check_tol("tol", tol)
     if len(exhaustion.sets) < 2:
         raise InputError(f"{what} needs at least two exhaustion sets")
-    prev: list[float] | None = None
-    increments = []
-    clamps = 0
+    prev, increments, clamps = None, [], 0
     for k in range(len(exhaustion)):
         op, engine, vec = _truncation(exhaustion, k, f, OperatorKind.DIRICHLET)
-        current = action(engine, vec).tolist()
+        current = action(engine, vec)
         clamps += engine.telemetry.clamped_entries
         if prev is not None:
-            for x, v_old, v_new in zip(op.vertices, prev, current):
-                if v_new < v_old - MONOTONE_SLACK:
-                    raise NeumannLabError(
-                        f"{what}: truncation monotonicity violated at vertex {x}: "
-                        f"{v_old!r} -> {v_new!r}")
-            prev += [0.0] * (len(current) - len(prev))
-            increment = sum(abs(v_new - v_old) * m for v_new, v_old, m
-                            in zip(current, prev, op.measure_vector.tolist()))
+            fell = np.flatnonzero(current[:len(prev)] < prev - MONOTONE_SLACK)
+            if fell.size:
+                i = fell[0]
+                raise NeumannLabError(
+                    f"{what}: truncation monotonicity violated at vertex {op.vertices[i]}: "
+                    f"{prev[i].item()!r} -> {current[i].item()!r}")
+            step = current - np.pad(prev, (0, len(current) - len(prev)))
+            # summed left to right in the vertex order
+            increment = sum((np.abs(step) * op.measure_vector).tolist())
             increments.append(increment)
             if increment < tol:
-                limit = VertexFunction({x: v for x, v in zip(op.vertices, current) if v})
-                return limit, {"sets_used": k + 1, "last_increment": increment,
-                               "clamped_entries": clamps}
+                return op.vertex_function(current), {
+                    "sets_used": k + 1, "last_increment": increment, "clamped_entries": clamps}
         prev = current
     raise TruncationInsufficientError(
         f"{what}: increment {increment:.3e} still above tol {tol:.3e} "
@@ -293,7 +298,7 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
 
     def one(ex, k, alpha=alpha):
         op, engine, vec = _truncation(ex, k, phi)
-        heat = _extended(op, engine.heat_vec(t, vec))
+        heat = engine.heat_vec(t, vec)
         pairing = None
         if alpha is not None:
             u = engine.resolvent_vec(alpha, vec)
@@ -305,19 +310,21 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
 
     if reference is None:
         # the reference set has no pairing row, so it skips the resolvent
-        ref_map, _, ref_clamps = one(ref_exhaustion or exhaustion, -1, alpha=None)
+        ref_ex = ref_exhaustion or exhaustion
+        heat, _, ref_clamps = one(ref_ex, -1, alpha=None)
+        ref_items = list(zip(ref_ex.sets[-1], heat))
     else:
-        ref_map = {x: float(v) for x, v in reference.values.items()}
-        ref_clamps = 0
+        ref_items, ref_clamps = list(reference.values.items()), 0
+    index, ref, mass = _layout(g, iterate_sets[-1], ref_items)
     if explicit:
-        if not set(iterate_sets[-1]) <= set(ref_map):
+        if len(index) > len(ref_items):  # the layout added an iterate vertex
             raise InputError("reference does not cover the largest iterate set")
         ref_kind = "explicit-reference"
     else:
-        _self_consistent(g, heats + [ref_map], self_tol, "neumann reference")
+        _neumann_gate(heats + [ref], mass, self_tol, "neumann reference")
         ref_kind = "neumann-self-consistent"
 
-    l1s, l2s, points = _curve(heats, ref_map, g, probe)
+    l1s, l2s, points = _distances(heats, ref, mass, index.get(probe))
     return ConvergenceReport(
         experiment="neumann-convergence",
         reference_kind=ref_kind,
@@ -354,11 +361,12 @@ def dirichlet_gap_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     probe = probe if probe is not None else exhaustion.sets[0][0]
 
     def one(k):
-        op, engine, vec = _truncation(exhaustion, k, phi)
-        return _extended(op, engine.heat_vec(t, vec)), engine.telemetry.clamped_entries
+        _, engine, vec = _truncation(exhaustion, k, phi)
+        return engine.heat_vec(t, vec), engine.telemetry.clamped_entries
 
     results = _ordered_map(one, range(len(exhaustion)))
-    l1s, l2s, points = _curve([heat for heat, _ in results], ref.values, g, probe)
+    index, ref_vec, mass = _layout(g, exhaustion.sets[-1], ref.values.items())
+    l1s, l2s, points = _distances([h for h, _ in results], ref_vec, mass, index.get(probe))
     clamps = ref_info["clamped_entries"] + sum(c for _, c in results)
     threshold = max(10 * tol, GAP_FLOOR_ABSOLUTE)
     sizes = [len(s) for s in exhaustion.sets]
@@ -406,22 +414,21 @@ def l1_defect_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
                 f"(violated at vertex {x})")
     _check_phi(phi)
     ref, ref_info = dirichlet_reference(g, ref_ex, t, phi, tol)
-    ref_map = ref.values
     phi_l1 = phi.norm(g, 1)
-    mass = _masses(g, [ref_map])
-    defect = phi_l1 - sum(abs(v) * mass[x] for x, v in ref_map.items())
     probe = probe if probe is not None else exhaustion.sets[0][0]
 
     def one(k):
         d_op, d_engine, vec = _truncation(exhaustion, k, phi, OperatorKind.DIRICHLET)
-        op, engine, _ = _truncation(exhaustion, k, phi)
+        _, engine, _ = _truncation(exhaustion, k, phi)
         d_heat, heat = heat_vecs([d_engine, engine], t, vec)
         d_l1 = float((np.abs(d_heat) * d_op.measure_vector).sum())
         clamped = d_engine.telemetry.clamped_entries + engine.telemetry.clamped_entries
-        return _extended(op, heat), 2.0 * (phi_l1 - d_l1), clamped
+        return heat, 2.0 * (phi_l1 - d_l1), clamped
 
     results = _ordered_map(one, range(len(exhaustion)))
-    l1s, l2s, points = _curve([heat for heat, _, _ in results], ref_map, g, probe)
+    index, ref_vec, mass = _layout(g, exhaustion.sets[-1], ref.values.items())
+    defect = phi_l1 - math.fsum(np.abs(ref_vec) * mass)
+    l1s, l2s, points = _distances([h for h, _, _ in results], ref_vec, mass, index.get(probe))
     bounds = [bound for _, bound, _ in results]
     clamps = ref_info["clamped_entries"] + sum(c for _, _, c in results)
     for l1, bound in zip(l1s, bounds):

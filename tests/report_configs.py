@@ -1,17 +1,25 @@
-"""The acceptance CLI configs whose reports a change compares byte for byte.
+"""The acceptance CLI configs whose reports a change compares value by value.
 
 Each entry is (name, argv, exit code).  Run
 
     PYTHONPATH=src python tests/report_configs.py OUT_DIR
 
 to write every config's report files as OUT_DIR/<name>.json (plus .csv and
-_tidy.csv where the report has rows) and print each exit code; then diff two
-such directories, ignoring the ``timestamp`` line.  ``test_cli.py`` runs the
-same list and pins the exit codes.
+_tidy.csv where the report has rows) and the exit codes as
+OUT_DIR/exit_codes.json, printing each code.  Then
+
+    python tests/report_configs.py --compare OLD_DIR NEW_DIR
+
+prints every exit-code change, every changed non-float value and every
+changed float with its path and relative change (``timestamp`` is
+ignored), and exits 1 on any exit-code or non-float difference.
+``test_cli.py`` runs the same list and pins the exit codes.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import sys
 from pathlib import Path
 
@@ -77,18 +85,82 @@ CONFIGS = [
 ]
 
 
-def write_reports(out_dir) -> dict[str, int]:
-    """Run every config with ``--out OUT_DIR/<name>``; returns the exit codes."""
+EXIT_CODES = "exit_codes.json"
+
+
+def write_reports(out_dir, configs=CONFIGS) -> dict[str, int]:
+    """Run every config with ``--out OUT_DIR/<name>`` and write the exit
+    codes to OUT_DIR/exit_codes.json; returns them."""
     from neumann_lab.cli import main
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return {name: main(argv + ["--out", str(out_dir / name)])
-            for name, argv, _ in CONFIGS}
+    codes = {name: main(argv + ["--out", str(out_dir / name)]) for name, argv, _ in configs}
+    (out_dir / EXIT_CODES).write_text(json.dumps(codes, indent=2) + "\n")
+    return codes
+
+
+def _cell(text: str):
+    """A CSV cell as a float when it is one, else as its text."""
+    try:
+        return text if text.lstrip("-").isdigit() else float(text)
+    except ValueError:
+        return text
+
+
+def _load(path: Path):
+    if not path.exists():
+        return None
+    if path.suffix == ".csv":
+        with path.open(newline="") as fh:
+            return [[_cell(c) for c in row] for row in csv.reader(fh)]
+    return json.loads(path.read_text())
+
+
+def _differences(old, new, where=""):
+    """Yield (path, old, new, is_float) for every differing leaf."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key != "timestamp":
+                yield from _differences(old.get(key), new.get(key), f"{where}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _differences(a, b, f"{where}[{i}]")
+    elif type(old) is float and type(new) is float:
+        if old != new and not (old != old and new != new):
+            yield where, old, new, True
+    elif type(old) is not type(new) or old != new:
+        yield where, old, new, False
+
+
+def compare(old_dir, new_dir) -> int:
+    """Print the differences between two written directories; 1 when an
+    exit code or a non-float value differs, else 0."""
+    old_dir, new_dir = Path(old_dir), Path(new_dir)
+    hard = False
+    old_codes, new_codes = (_load(d / EXIT_CODES) or {} for d in (old_dir, new_dir))
+    for name in sorted(old_codes.keys() | new_codes.keys()):
+        if old_codes.get(name) != new_codes.get(name):
+            print(f"exit code {name}: {old_codes.get(name)} -> {new_codes.get(name)}")
+            hard = True
+    files = {p.name for d in (old_dir, new_dir) for p in d.iterdir()} - {EXIT_CODES}
+    for name in sorted(files):
+        old, new = _load(old_dir / name), _load(new_dir / name)
+        for where, a, b, is_float in _differences(old, new, name):
+            if is_float:
+                rel = abs(b - a) / abs(a) if a else float("inf")
+                print(f"float {where}: {a!r} -> {b!r} (relative {rel:.1e})")
+            else:
+                print(f"value {where}: {a!r} -> {b!r}")
+                hard = True
+    return int(hard)
 
 
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        sys.exit("usage: python tests/report_configs.py OUT_DIR")
+        sys.exit("usage: python tests/report_configs.py OUT_DIR\n"
+                 "       python tests/report_configs.py --compare OLD_DIR NEW_DIR")
     for name, code in write_reports(sys.argv[1]).items():
         print(f"{code} {name}")

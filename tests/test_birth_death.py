@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +226,26 @@ class TestAlphaHarmonic:
             solve_alpha_harmonic(chain, 0, 1, 10)
         with pytest.raises(InputError):
             solve_alpha_harmonic(chain, 1, 1, 1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_alpha_and_start_rejected(self, value):
+        chain = models.PRESETS["bd:geo"]().chain
+        with pytest.raises(InputError,
+                           match=re.escape(f"alpha must be positive and finite, got {value}")):
+            solve_alpha_harmonic(chain, value, 1, 20)
+        with pytest.raises(InputError,
+                           match=re.escape(f"u0 must be nonnegative and finite, got {value}")):
+            solve_alpha_harmonic(chain, 1, value, 20)
+
+    def test_fraction_and_mpf_inputs_still_solve(self):
+        import mpmath
+
+        chain = models.PRESETS["bd:geo"]().chain
+        exact = solve_alpha_harmonic(chain, Fraction(1, 2), Fraction(3), 20)
+        lifted = solve_alpha_harmonic(chain, mpmath.mpf("0.5"), mpmath.mpf(3), 20)
+        assert all(isinstance(v, Fraction) for v in exact.partial_l1)
+        for a, b in zip(exact.partial_l1, lifted.partial_l1):
+            assert float(b) == pytest.approx(float(a), rel=1e-14)
 
 
 class TestHamburger:

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 
 import pytest
 
@@ -312,6 +313,19 @@ class TestExperiments:
         assert payload["metadata"]["gap_slope"] is None
         assert payload["metadata"]["floor_is_evidence"] is False
 
+    def test_l2_gap_survives_where_its_square_underflows(self, capsys):
+        # bd:unit's gap falls below 1e-160 at the largest sizes, where d^2
+        # underflows: the scaled l2 stays positive wherever l1 is, so the
+        # slope over the larger half is fitted
+        code, payload = run_cli(capsys, "--model", "bd:unit",
+                                "--experiment", "dirichlet-gap")
+        assert code == 0
+        l1s, l2s = payload["l1_distance"], payload["l2_distance"]
+        assert min(l1s) < 1e-160
+        assert all(l2 > 0 for l1, l2 in zip(l1s, l2s) if l1 > 0)
+        assert isinstance(payload["metadata"]["gap_slope"], float)
+        assert payload["metadata"]["floor_is_evidence"] is False
+
     def test_neumann_gate_failure_keeps_every_increment(self, capsys):
         code, payload = run_cli(capsys, "--model", "comb",
                                 "--experiment", "neumann-convergence",
@@ -550,6 +564,36 @@ def test_report_configs_keep_their_exit_codes(tmp_path):
             assert list(payload) == REPORT_KEYS[payload["experiment"]] + dump, name
             checked.add(payload["experiment"])
     assert checked == set(REPORT_KEYS)
+
+
+def test_compare_lists_every_changed_value(tmp_path, capsys):
+    configs = [c for c in report_configs.CONFIGS if c[0] in ("unit-l1", "unit-nc-t-nan")]
+    old, new = tmp_path / "old", tmp_path / "new"
+    report_configs.write_reports(old, configs)
+    shutil.copytree(old, new)
+    capsys.readouterr()
+    assert report_configs.compare(old, new) == 0
+    assert capsys.readouterr().out == ""
+
+    payload = load_report((new / "unit-l1.json").read_text())
+    first = payload["l1_distance"][0]
+    payload["l1_distance"][0] = first * 2
+    payload["timestamp"] = "ignored"
+    (new / "unit-l1.json").write_text(json.dumps(payload))
+    assert report_configs.compare(old, new) == 0
+    assert capsys.readouterr().out == (
+        f"float unit-l1.json.l1_distance[0]: {first!r} -> {first * 2!r} (relative 1.0e+00)\n")
+
+    payload["metadata"]["graph"] = "bd:other"
+    (new / "unit-l1.json").write_text(json.dumps(payload))
+    codes = load_report((new / report_configs.EXIT_CODES).read_text())
+    codes["unit-nc-t-nan"] = 2
+    (new / report_configs.EXIT_CODES).write_text(json.dumps(codes))
+    assert report_configs.compare(old, new) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "exit code unit-nc-t-nan: 1 -> 2"
+    assert "value unit-l1.json.metadata.graph: 'bd:unit' -> 'bd:other'" in out
+    assert len(out) == 3
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -214,6 +215,31 @@ class TestNeumannConvergence:
         expected["metadata"]["clamped_entries"] += engine.telemetry.clamped_entries
         assert by_set.to_json_dict() == expected
         assert by_set.reference_kind == "explicit-reference"
+
+    def test_explicit_reference_beyond_the_iterates_matches_the_reference_set(self):
+        # the rectangle-9 reference reaches past the iterates' rectangle 6:
+        # its extra vertices are appended to the layout in the reference's
+        # own order (here reversed), each with its own mass
+        m = models.PRESETS["comb"]()
+        full = models.make_exhaustion(m, 0, indices=[2, 3, 4, 5, 6, 9])
+        origin = models.comb_vertex_id(0, 0)
+        phi = VertexFunction.indicator(origin)
+        op = assemble_neumann(m.graph, models.comb_rectangle(9))
+        out = SemigroupEngine(op).heat_vec(1.0, op.local_vector(phi))
+        reference = VertexFunction({v: float(u) for v, u in reversed(list(zip(op.vertices, out)))})
+        by_map = neumann_convergence_experiment(m.graph, full[:5], 1.0, phi, probe=origin,
+                                                reference=reference)
+        by_set = neumann_convergence_experiment(m.graph, full[:5], 1.0, phi, probe=origin,
+                                                ref_exhaustion=full[4:])
+        assert len(full.sets[-1]) > len(full.sets[4])
+        for name in ("l1_distance", "l2_distance", "pointwise_distance"):
+            assert getattr(by_map, name) == pytest.approx(getattr(by_set, name), rel=1e-14)
+        # the last distance summed vertex by vertex over the reference's support
+        top = assemble_neumann(m.graph, full.sets[4])
+        heat = dict(zip(top.vertices, SemigroupEngine(top).heat_vec(1.0, top.local_vector(phi))))
+        expected = sum(abs(heat.get(v, 0.0) - u) * float(m.graph.measure(v))
+                       for v, u in reference.values.items())
+        assert by_set.l1_distance[-1] == pytest.approx(expected, rel=1e-13)
 
     def test_reference_set_must_cover_iterates_and_exclude_a_reference(self):
         g = path_graph(6)
@@ -475,3 +501,37 @@ def test_tolerance_must_be_positive_and_finite(call, value, monkeypatch):
     with pytest.raises(InputError,
                        match=re.escape(f"{name} must be positive and finite, got {value}")):
         run(g, ex, value)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -600])
+@pytest.mark.parametrize("preset", ["bd:unit", "bd:geo", "bd:explosive", "bd:tail", "comb",
+                                    "random:60"])
+def test_distances_match_exact_sums(preset, scale):
+    # entries from 1e-200 to 1 (times 2^-600: every square underflows) on the
+    # masses of a model's default exhaustion: l1 is the correctly rounded sum
+    # of the float products |d| m, l2 is within 1e-15 of a 60-digit value,
+    # and no permutation of the layout changes either by a bit
+    model = models.build_model(preset, seed=3)
+    top = models.make_exhaustion(model, 0, indices=models.default_indices(model)).sets[-1]
+    n = len(top)
+    mass = convergence._layout(model.graph, top, ())[2]
+    rng = np.random.default_rng(n)
+    ref = scale * 10.0 ** rng.uniform(-200, 0, n)
+    vectors = [scale * 10.0 ** rng.uniform(-200, 0, k) for k in (1, n // 2, n)]
+    probe = n // 3
+    l1s, l2s, points = convergence._distances(vectors, ref, mass, probe)
+    for vec, l1, l2, point in zip(vectors, l1s, l2s, points):
+        d = ref.copy()
+        d[:len(vec)] -= vec
+        d = np.abs(d)
+        assert l1 == float(sum(map(Fraction, (d * mass).tolist())))
+        with mpmath.workdps(60):
+            exact = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2 * mpmath.mpf(w)
+                                            for x, w in zip(d.tolist(), mass.tolist())))
+            assert abs(mpmath.mpf(l2) - exact) <= 1e-15 * exact
+        assert point == d[probe]
+    perm = rng.permutation(n)
+    padded = [np.concatenate([vec, np.zeros(n - len(vec))])[perm] for vec in vectors]
+    shuffled = convergence._distances(padded, ref[perm], mass[perm],
+                                      int(np.argsort(perm)[probe]))
+    assert shuffled == (l1s, l2s, points)
