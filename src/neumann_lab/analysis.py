@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .convergence import (
 from .errors import InputError, NeumannLabError
 from .graphs import (Exhaustion, VertexFunction, WeightedGraph, formal_laplacian,
                      hop_distances)
-from .operators import _exact_ratio, _float_guard, assemble_dirichlet, assemble_neumann
+from .operators import _float_guard, assemble_dirichlet, assemble_neumann
 from .semigroup import SemigroupEngine
 
 __all__ = [
@@ -178,17 +179,14 @@ def ec_constant(g: WeightedGraph, window: Sequence[int]) -> float:
 
     A uniform bound over the sets of an exhaustion is the edge condition;
     an unbounded sequence of constants certifies its failure.  The ratios
-    are exact on exact data; a maximum beyond the float cap raises
-    ``OverflowCapError``.
+    are compared exactly and the largest is rounded once; a maximum beyond
+    the float cap raises ``OverflowCapError``.
     """
     inside = set(window)
-    best = 0
-    for v in inside:
-        mv = g.measure(v)
-        for w, b in g.neighbors(v).items():
-            if w in inside:
-                best = max(best, _exact_ratio(b, mv * g.measure(w)))
-    return _float_guard(best, "edge-condition constant")
+    ratios = [(b, g.measure(v) * g.measure(w)) for v in inside
+              for w, b in g.neighbors(v).items() if w in inside]
+    b, d = max(ratios, key=lambda r: Fraction(r[0]) / Fraction(r[1]), default=(0, 1))
+    return _float_guard(b, "edge-condition constant", d)
 
 
 def uniform_l1_check(g: WeightedGraph, subset: Sequence[int], horizon: float,

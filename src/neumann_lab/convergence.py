@@ -170,7 +170,7 @@ class ConvergenceReport:
         for name in ("l1_distance", "l2_distance", "pointwise_distance"):
             if len(getattr(self, name)) != n:
                 raise InputError(f"{name} length mismatch")
-        if any(d < 0 for d in self.l1_distance + self.l2_distance + self.pointwise_distance):
+        if not all(d >= 0 for d in self.l1_distance + self.l2_distance + self.pointwise_distance):
             raise InputError("distances must be nonnegative")
         if self.quadratic_pairings is not None:
             for a, b in zip(self.quadratic_pairings, self.quadratic_pairings[1:]):
@@ -315,6 +315,9 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
         ref_items = list(zip(ref_ex.sets[-1], heat))
     else:
         ref_items, ref_clamps = list(reference.values.items()), 0
+        for x, v in ref_items:
+            if not math.isfinite(v):
+                raise InputError(f"reference value at vertex {x} is not finite: {v}")
     index, ref, mass = _layout(g, iterate_sets[-1], ref_items)
     if explicit:
         if len(index) > len(ref_items):  # the layout added an iterate vertex

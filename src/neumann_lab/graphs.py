@@ -18,7 +18,8 @@ is checked once, when built, and keeps the row store its restrictions read.
 
 Weights may be ``int``, :class:`~fractions.Fraction`, or ``float``.  Exact
 rational weights survive untouched until operator assembly, which matters for
-models whose weights span hundreds of orders of magnitude.
+models whose weights span hundreds of orders of magnitude; exact data need
+not be wrapped in a Fraction (the comb's weights, up to 2^1000, are ints).
 """
 
 from __future__ import annotations

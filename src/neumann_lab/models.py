@@ -84,21 +84,21 @@ def comb_vertex_label(v: int) -> tuple[int, int]:
     return s - n, n
 
 
-def _comb_weight(a: tuple[int, int], b: tuple[int, int]) -> Fraction:
+def _comb_weight(a: tuple[int, int], b: tuple[int, int]) -> int:
     (k1, n1), (k2, n2) = a, b
     if n1 == n2 and abs(k1 - k2) == 1:
-        return Fraction(2) ** (n1 * min(k1, k2))
+        return 2 ** (n1 * min(k1, k2))
     if k1 == k2 == 0 and abs(n1 - n2) == 1:
-        return Fraction(4) ** (min(n1, n2) + 2)
+        return 4 ** (min(n1, n2) + 2)
     raise InputError(f"not a comb edge: {a} - {b}")
 
 
-def _comb_measure(label: tuple[int, int]) -> Fraction:
+def _comb_measure(label: tuple[int, int]) -> Fraction | int:
     k, n = label
-    return Fraction(1, 2 ** n) if k == 0 else Fraction(1)
+    return Fraction(1, 2 ** n) if k == 0 else 1
 
 
-def _comb_neighbors(v: int) -> dict[int, Fraction]:
+def _comb_neighbors(v: int) -> dict[int, int]:
     k, n = comb_vertex_label(v)
     out = {}
     out[comb_vertex_id(k + 1, n)] = _comb_weight((k, n), (k + 1, n))

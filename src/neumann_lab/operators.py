@@ -9,8 +9,10 @@ Two restrictions of the Laplacian to a finite connected subset are supported:
 Operators keep their defining data exact (weights as int/Fraction/float),
 so the residual certificate sees entries without rounding.  Assembly also
 builds the float rows every solver runs on: the off-diagonal ratios b/m, the
-excess (killing mass)/m and the diagonal, each value converted behind the
-overflow guard, so an operator beyond the float cap fails at assembly.
+excess (killing mass)/m and the diagonal.  One rounding helper,
+:func:`_float_guard`, rounds every ratio: exact operands become one integer
+ratio, rounded by one correctly rounded division, and a ratio beyond the
+float cap is refused, so an operator beyond the cap fails at assembly.
 Every restriction is read off the row store of an :class:`Exhaustion`
 (:func:`restrict`), which converts an interior row once for both kinds and
 every larger set and a boundary row per set; :func:`assemble_dirichlet` and
@@ -23,7 +25,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -43,7 +44,6 @@ __all__ = [
 
 # float64 overflows at 2^1024; pivot row sums add at most a couple of bits
 FLOAT_EXP_CAP = 1000
-_FLOAT_CAP_VALUE = 2 ** FLOAT_EXP_CAP
 
 DENSE_SIZE_CAP = 4096
 
@@ -53,34 +53,27 @@ class OperatorKind(enum.Enum):
     NEUMANN = "neumann"
 
 
-def _float_guard(value, what: str):
-    """Exact-to-float conversion that refuses values beyond the cap."""
-    if isinstance(value, Fraction):
-        num, den = value.numerator, value.denominator
-        # |value| < 2^(bits(num) - bits(den) + 1) <= 2^(FLOAT_EXP_CAP - 1): no
-        # exact comparison needed, and int / int rounds as float(value) does
-        if num.bit_length() - den.bit_length() < FLOAT_EXP_CAP - 1:
-            return num / den
-    if isinstance(value, (Fraction, int)):
-        if abs(value) >= _FLOAT_CAP_VALUE:
-            num = abs(Fraction(value))
-            bits = num.numerator.bit_length() - num.denominator.bit_length()
-            raise OverflowCapError(
-                f"{what} ~ 2^{bits} exceeds the float cap 2^{FLOAT_EXP_CAP}; "
-                f"use a smaller truncation")
-        return float(value)
-    v = float(value)
-    if math.isinf(v) or math.isnan(v):
-        raise OverflowCapError(f"{what} is not float-representable")
-    return v
+def _float_guard(num, what: str, den=1):
+    """num/den (den > 0) rounded to a float, refusing a ratio beyond the cap.
 
-
-def _exact_ratio(num, den):
-    """num / den, exact unless an operand is a float, so that ``_float_guard``
-    sees the true size: int / int raises a bare OverflowError beyond 2^1024."""
+    A float operand divides as floats; exact operands (int or Fraction) become
+    one integer ratio n/d, and ``n / d`` rounds it correctly to a float."""
     if isinstance(num, float) or isinstance(den, float):
-        return num / den
-    return Fraction(num, den)
+        try:
+            v = float(num / den)
+            if math.isfinite(v):
+                return v
+        except OverflowError:  # an exact operand beyond float range
+            pass
+        raise OverflowCapError(f"{what} is not float-representable")
+    n, d = num.numerator * den.denominator, num.denominator * den.numerator
+    # |n/d| < 2^(bits(n) - bits(d) + 1): the exact comparison only near the cap
+    if n.bit_length() - d.bit_length() >= FLOAT_EXP_CAP - 1 and abs(n) >= d << FLOAT_EXP_CAP:
+        g = math.gcd(n, d)
+        bits = (abs(n) // g).bit_length() - (d // g).bit_length()
+        raise OverflowCapError(f"{what} ~ 2^{bits} exceeds the float cap "
+                               f"2^{FLOAT_EXP_CAP}; use a smaller truncation")
+    return n / d
 
 
 @dataclass(frozen=True)
@@ -183,10 +176,9 @@ def restrict(ex: Exhaustion, k: int, kind: OperatorKind) -> RestrictedOperator:
                 kill = kill + max(g.row_sum(x) - inner, 0)
             # the degree is the row's largest value, so an overflowing row
             # fails on it first
-            degree = _float_guard(_exact_ratio(inner + kill, mx), f"degree at vertex {x}")
-            floats = ({j: _float_guard(_exact_ratio(b, mx), "entry")
-                       for j, b in row.items()},
-                      _float_guard(_exact_ratio(kill, mx), "excess"), degree)
+            degree = _float_guard(inner + kill, f"degree at vertex {x}", mx)
+            floats = ({j: _float_guard(b, "entry", mx) for j, b in row.items()},
+                      _float_guard(kill, "excess", mx), degree)
             if interior:
                 stored[4] = floats
         rows.append((row, kill, mx, *floats))

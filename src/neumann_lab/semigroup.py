@@ -14,15 +14,15 @@ vertices at a time:
 
 Both actions read the float rows that operator assembly built once
 (``offdiag``, ``excess``); the operator's exact data feeds only the residual
-certificate.  Residuals are verified in exact rational arithmetic on that
-data, so the check itself cannot drown in rounding.
+certificate.  The residual is certified on that data in integer arithmetic:
+each row is exact and is rounded once, so the check itself cannot drown
+in rounding, and the norm is within a few ulps of the exact one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -90,40 +90,43 @@ class SemigroupEngine:
         return fac.solve(np.asarray(vec, dtype=float))
 
     def resolvent_residual(self, alpha: float, u: np.ndarray, f: np.ndarray) -> float:
-        """l2(m) norm of (L+alpha)u - f on the operator's exact data.
+        """l2(m) norm of (L+alpha)u - f on the operator's exact data: exact
+        rows, norm within a few ulps.
 
-        Row i of (L+alpha)u - f is s_i/m_i with
-        s_i = sum_j b_ij (u_i - u_j) + (k_i + alpha m_i) u_i - m_i f_i, so the
-        squared norm is sum_i s_i^2/m_i.  Every operand is an integer ratio
-        (floats are dyadic), so s_i is summed exactly over one common
-        denominator and only its square enters a Fraction: the check itself
-        cannot drown in rounding, for float and rational data alike.
+        Row i is s_i/m_i, s_i = sum_j b_ij (u_i - u_j) + (k_i + alpha m_i) u_i
+        - m_i f_i.  Every operand is an integer ratio (floats are dyadic), so
+        s_i is one exact integer over the lcm of its terms' denominators: the
+        cancellation cannot drown in rounding.  Each s_i^2/m_i is rounded
+        once, at one power-of-two scale shared by all rows so that nothing
+        overflows, and the rounded terms are summed by ``fsum``.
         """
         op = self.operator
         us = [v.as_integer_ratio() for v in np.asarray(u, dtype=float).tolist()]
         fs = [v.as_integer_ratio() for v in np.asarray(f, dtype=float).tolist()]
-        an, ad = Fraction(alpha).as_integer_ratio()
-        total = Fraction(0)
-        for (un, ud), (fn, fd), row, k, m in zip(us, fs, op.weights, op.killing_mass,
-                                                  op.measures):
+        # u = U/q over one power of two q, so u_i - u_j = (U_i - U_j)/q
+        q = math.lcm(*(d for _, d in us))
+        U = [n * (q // d) for n, d in us]
+        an, ad = alpha.as_integer_ratio()
+        rows = []  # (S^2 md, D^2 mn) for each row with q s_i = S/D != 0
+        for ui, (fn, fd), row, k, m in zip(U, fs, op.weights, op.killing_mass, op.measures):
             mn, md = m.as_integer_ratio()
             kn, kd = k.as_integer_ratio()
-            terms = [(kn * un, kd * ud), (an * mn * un, ad * md * ud), (-mn * fn, md * fd)]
+            terms = [(kn * ui, kd), (an * mn * ui, ad * md), (-mn * fn * q, md * fd)]
             for j, b in row.items():
                 bn, bd = b.as_integer_ratio()
-                vn, vd = us[j]
-                terms.append((bn * (un * vd - vn * ud), bd * ud * vd))
-            num, den = 0, 1
+                terms.append((bn * (ui - U[j]), bd))
+            num, den = 0, 1  # den grows to the lcm of the denominators
             for n, d in terms:
-                num, den = num * d + n * den, den * d
-            total += Fraction(num * num * md, den * den * mn)
-        try:
-            return float(total) ** 0.5
-        except OverflowError:
-            # the squared norm is beyond float range while the norm is not:
-            # halve the exponent exactly before converting
-            half = (total.numerator.bit_length() - total.denominator.bit_length()) // 2
-            return math.ldexp(float(total / (1 << 2 * half)) ** 0.5, half)
+                if den % d:
+                    lcm = math.lcm(den, d)
+                    num, den = num * (lcm // den), lcm
+                num += n * (den // d)
+            if num:
+                rows.append((num * num * md, den * den * mn))
+        # s_i^2/m_i = S^2 md / (D^2 mn q^2); over 2^(2e) the largest is in (1/2, 4)
+        e = max((n.bit_length() - d.bit_length() for n, d in rows), default=0) // 2
+        total = math.fsum(n / (d << 2 * e) if e >= 0 else (n << -2 * e) / d for n, d in rows)
+        return math.ldexp(math.sqrt(total), e - (q.bit_length() - 1))
 
 
 def heat_vecs(engines: list[SemigroupEngine], t: float, vec: np.ndarray) -> list[np.ndarray]:

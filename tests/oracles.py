@@ -6,8 +6,9 @@ eigendecomposition, explicit RK4 integration, the elimination order on
 (the same arithmetic as the package's, in the same order), Gaussian elimination in mpmath at a precision scaled
 to the dynamic range, the quadratic form and its
 variational principle, the minimum-principle bound, the Laplace-transform
-route to the resolvent (over the engine's heat action), and the pole/residue
-sum of the rational approximation.  ``scale`` and ``heat_apply`` are
+route to the resolvent (over the engine's heat action), the pole/residue
+sum of the rational approximation, and the resolvent residual's norm in
+Fraction arithmetic.  ``scale`` and ``heat_apply`` are
 conveniences the tests share.  The references live with the tests so that
 no package path can come to depend on them: the package must never import
 this module.
@@ -26,8 +27,7 @@ import numpy as np
 from neumann_lab._expcf import POLES, RESIDUES
 from neumann_lab.errors import InputError, NeumannLabError
 from neumann_lab.graphs import VertexFunction, WeightedGraph, formal_laplacian, weighted_degree
-from neumann_lab.operators import (DENSE_SIZE_CAP, RestrictedOperator, _exact_ratio,
-                                   assemble_neumann)
+from neumann_lab.operators import DENSE_SIZE_CAP, RestrictedOperator, assemble_neumann
 from neumann_lab.semigroup import SemigroupEngine
 
 # above this weighted-degree scale, eigh eigenvalue errors (~eps * scale)
@@ -298,6 +298,13 @@ def cf_heat_mp(offdiag_exact: list[dict[int, object]], excess_exact: list[object
     return out
 
 
+def _exact_ratio(num, den):
+    """num / den, exact unless an operand is a float."""
+    if isinstance(num, float) or isinstance(den, float):
+        return num / den
+    return Fraction(num, den)
+
+
 def mp_heat(op: RestrictedOperator, t: float, vec: np.ndarray) -> np.ndarray:
     """The same rational approximation as the engine, solved in mpmath on
     the operator's exact ratios b/m and (killing mass)/m."""
@@ -392,3 +399,17 @@ def resolvent_via_heat_quadrature(engine: SemigroupEngine, alpha: float,
             t = mid + xi * half
             out = out + wi * half * math.exp(-alpha * t) * engine.heat_vec(t, vec)
     return out
+
+
+def exact_residual_norm(op: RestrictedOperator, alpha: float, u: np.ndarray,
+                        f: np.ndarray) -> float:
+    """The l2(m) norm of (L + alpha)u - f, its square summed in Fraction
+    arithmetic on the operator's exact data and its root taken at 60 digits."""
+    us = [Fraction(v) for v in np.asarray(u, dtype=float).tolist()]
+    total = Fraction(0)
+    for i, (row, k, m) in enumerate(zip(op.weights, op.killing_mass, op.measures)):
+        s = sum(Fraction(b) * (us[i] - us[j]) for j, b in row.items())
+        s += (Fraction(k) + Fraction(alpha) * Fraction(m)) * us[i] - Fraction(m) * Fraction(f[i])
+        total += s * s / Fraction(m)
+    with mp.workdps(60):
+        return float(mp.sqrt(mp.mpf(total.numerator) / total.denominator))

@@ -82,6 +82,7 @@ CONFIGS = [
     ("random60-l1", _run(RANDOM60, "l1-defect"), 0),
     ("unit-nc-t-nan", _run(UNIT, "neumann-convergence", "--t", "nan"), 1),
     ("comb-ul1-t-inf", _run(COMB, "uniform-l1", "--truncations", "2:4", "--t", "inf"), 1),
+    ("comb-ec-dump", _run(COMB, "ec", "--truncations", "2:4", "--dump-matrix"), 0),
 ]
 
 

@@ -181,7 +181,8 @@ class TestEdgeCondition:
         # alone is below the smallest float
         g = models.PRESETS["bd:geo"]().graph
         assert ec_constant(g, range(200)) == 2.0 ** (3 * 198 + 1)
-        with pytest.raises(OverflowCapError, match="float cap"):
+        # the error names the largest ratio, not the first one past the cap
+        with pytest.raises(OverflowCapError, match=r"~ 2\^2995 exceeds the float cap"):
             ec_constant(g, range(1000))
 
 

@@ -158,10 +158,20 @@ class TestExperiments:
         assert code == 0
         assert payload["constant"] > 1e3
 
-    def test_ec_runs_on_the_exhaustion(self, capsys):
+    def test_ec_runs_on_the_exhaustion(self, capsys, monkeypatch):
+        builds = []
+        build = graphs.Exhaustion.build
+
+        def counted(g, sets):
+            builds.append(len(sets))
+            return build(g, sets)
+
+        monkeypatch.setattr(graphs.Exhaustion, "build", staticmethod(counted))
         code, payload = run_cli(capsys, "--model", "path:12", "--experiment", "ec",
                                 "--truncations", "0:3", "--dump-matrix")
         assert code == 0
+        # the dump reads the run's exhaustion instead of building its top set again
+        assert builds == [4]
         assert payload["sizes"] == [1, 2, 3, 4]
         assert payload["constants"] == [0.0, 1.0, 1.0, 1.0]
         assert payload["window_size"] == 4
@@ -362,6 +372,23 @@ class TestExperiments:
         assert payload["error_kind"] == "input-error"
         assert "float cap" in payload["reason"]
 
+    @pytest.mark.parametrize("experiment,reason", [
+        (("ec",), "edge-condition constant is not float-representable"),
+        (("l1-defect", "--truncations", "0:1"), "degree at vertex 0 is not float-representable"),
+    ], ids=["ec", "l1-defect"])
+    def test_int_weight_beyond_float_range_over_float_measures(self, tmp_path, experiment,
+                                                               reason):
+        # an int weight over a float measure divides as floats, so the int
+        # itself must fit in a float
+        path = tmp_path / "huge.txt"
+        path.write_text(f"V 0 1.0 0\nV 1 1.0 0\nE 0 1 {2 ** 1100}\n")
+        out = tmp_path / "r"
+        assert main(["--model", f"file:{path}", "--experiment", *experiment,
+                     "--out", str(out)]) == 1
+        payload = load_report((tmp_path / "r.json").read_text())
+        assert payload["error_kind"] == "input-error"
+        assert payload["reason"] == reason
+
     @pytest.mark.parametrize("rate", ["r" + "+r" * 1000, "2**(2**40)"],
                              ids=["deep-sum", "huge-power"])
     def test_hostile_rate_is_input_error(self, tmp_path, rate):
@@ -554,7 +581,7 @@ REPORT_KEYS = {
 def test_report_configs_keep_their_exit_codes(tmp_path):
     codes = report_configs.write_reports(tmp_path)
     assert codes == {name: code for name, _, code in report_configs.CONFIGS}
-    assert len(codes) == 38
+    assert len(codes) == 39
     checked = set()
     for name, argv, _ in report_configs.CONFIGS:
         # every report, error payloads included, is strict JSON

@@ -195,6 +195,20 @@ class TestNeumannConvergence:
         with pytest.raises(InputError, match="cover"):
             neumann_convergence_experiment(g, ex, 1.0, phi, reference=small_ref)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_reference_value_rejected(self, bad):
+        m = models.PRESETS["bd:unit"]()
+        ex = models.make_exhaustion(m, 0, indices=[5, 10])
+        phi = VertexFunction.indicator(0)
+        values = dict.fromkeys(ex.sets[-1], 0.5)
+        with pytest.raises(InputError, match="reference value at vertex 7 is not finite"):
+            neumann_convergence_experiment(m.graph, ex, 1.0, phi,
+                                           reference=VertexFunction(values | {7: bad}))
+        # phi is not sign-checked here, so neither is the reference
+        rep = neumann_convergence_experiment(m.graph, ex, 1.0, phi,
+                                             reference=VertexFunction(values | {7: -1.0}))
+        assert rep.reference_kind == "explicit-reference"
+
     def test_reference_set_gives_the_reference_and_its_clamps(self):
         # the iterates and the reference are slices of one exhaustion, as in the CLI
         m = models.PRESETS["comb"]()
@@ -452,6 +466,12 @@ class TestReportShape:
                 experiment="x", reference_kind="y", t=1.0, sizes=[1, 2],
                 l1_distance=[0.0], l2_distance=[0.0, 0.0],
                 pointwise_distance=[0.0, 0.0])
+
+    def test_nan_distance_rejected(self):
+        with pytest.raises(InputError, match="nonnegative"):
+            ConvergenceReport(
+                experiment="x", reference_kind="y", t=1.0, sizes=[1],
+                l1_distance=[math.nan], l2_distance=[0.0], pointwise_distance=[0.0])
 
     def test_fields_are_keyword_only(self):
         with pytest.raises(TypeError):

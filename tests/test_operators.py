@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -454,8 +455,10 @@ def exact_guard(value: Fraction, what: str):
 
 
 def test_float_guard_fast_path_matches_the_exact_comparison():
-    # Fractions between 2^995 and 2^1005, around the cap 2^1000: the guard
-    # skips the exact comparison only where it cannot change the outcome
+    # Ratios between 2^995 and 2^1005, around the cap 2^1000, given as one
+    # Fraction and as int and Fraction pairs sharing a large common factor:
+    # the guard skips the exact comparison only where it cannot change the
+    # outcome, and its error names the size of the reduced ratio
     rng = np.random.default_rng(20261019)
     outcomes = set()
     for _ in range(3000):
@@ -463,14 +466,41 @@ def test_float_guard_fast_path_matches_the_exact_comparison():
         num = int(rng.integers(2 ** 61, 2 ** 62)) << (int(rng.integers(995, 1005))
                                                       + den.bit_length() - 62)
         value = Fraction(int(rng.choice([-1, 1])) * (num + int(rng.integers(0, 2 ** 20))), den)
+        common = int(rng.integers(1, 2 ** 62)) << int(rng.integers(0, 300)) | 1
+        scale = Fraction(int(rng.integers(1, 2 ** 62)), int(rng.integers(1, 2 ** 62)))
+        pairs = [(value, 1), (value.numerator * common, value.denominator * common),
+                 (value.numerator * common * scale, value.denominator * common * scale)]
         try:
             expected = exact_guard(value, "value")
         except OverflowCapError as err:
-            with pytest.raises(OverflowCapError) as got:
-                _float_guard(value, "value")
-            assert str(got.value) == str(err)
+            for num, den in pairs:
+                with pytest.raises(OverflowCapError) as got:
+                    _float_guard(num, "value", den)
+                assert str(got.value) == str(err)
             outcomes.add("error")
         else:
-            assert _float_guard(value, "value") == expected
+            assert all(_float_guard(num, "value", den) == expected for num, den in pairs)
             outcomes.add("float")
     assert outcomes == {"error", "float"}
+
+    # int, Fraction and float operands below 2^600, away from the cap: the
+    # guard equals the float nearest the exact ratio.  A float divides as
+    # floats, so it is paired with floats and with ints that floats hold.
+    def exact():
+        big = int(rng.integers(1, 2 ** 62)) << int(rng.integers(0, 400))
+        if rng.random() < 0.5:
+            return big
+        return Fraction(big, int(rng.integers(1, 2 ** 62)) << int(rng.integers(0, 400)))
+
+    def floating():
+        return math.ldexp(float(rng.uniform(0.5, 1.0)), int(rng.integers(-300, 300)))
+
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            num, den = exact(), exact()
+        else:
+            num, den = floating(), floating()
+            small = int(rng.integers(1, 2 ** 53))
+            num, den = [(num, den), (num, small), (small, den)][int(rng.integers(3))]
+        num = num * int(rng.choice([-1, 1]))
+        assert _float_guard(num, "value", den) == float(Fraction(num) / Fraction(den))

@@ -12,7 +12,7 @@ from neumann_lab.operators import assemble_dirichlet, assemble_neumann
 from neumann_lab.semigroup import SemigroupEngine, resolvent_apply
 
 import oracles
-from conftest import path_graph, random_connected_graph
+from conftest import path_graph, random_connected_graph, random_graph_data
 from oracles import heat_apply, heat_oracle, rational_exp, variational_value
 
 
@@ -261,6 +261,40 @@ class TestResolvent:
             total += s * s / Fraction(m)
         assert e.resolvent_residual(1.0, u, f) == pytest.approx(float(total) ** 0.5,
                                                                  rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scale", [0, 600, -600])
+    def test_residual_is_within_1e15_of_the_exact_norm(self, scale):
+        # float data (random graphs whose weights, killing and measures are
+        # scaled by 2^scale, with u and f: the norm ~ 2^(1.5 scale) is a
+        # float, its square is not) and non-dyadic measures (bd:tail's
+        # 1/(r+1)^2, the comb's 2^-n); u is a solve, whose residual cancels
+        # heavily, and an arbitrary vector.  The scale is 600, not 900: at
+        # 2^±900 the norm ~ 2^(1.5 scale) itself would leave the normal floats
+        rng = np.random.default_rng(20261020)
+        cases = []
+        for n in (5, 20, 60):
+            data = random_graph_data(rng, n, with_killing=True)
+            g = WeightedGraph.from_data(*({key: math.ldexp(v, scale) for key, v in d.items()}
+                                          for d in data))
+            cases += [(assemble(g, sorted(g.vertices())), float(rng.uniform(0.1, 5.0)))
+                      for assemble in (assemble_dirichlet, assemble_neumann)]
+        cases.append((assemble_dirichlet(models.PRESETS["bd:tail"]().graph, range(40)), 1.0))
+        cases.append((assemble_neumann(models.make_comb(), models.comb_rectangle(4)), 0.7))
+        for op, alpha in cases:
+            e = SemigroupEngine(op)
+            f = rng.normal(size=len(op))
+            for u in (e.resolvent_vec(alpha, f), rng.normal(size=len(op))):
+                u, fs = np.ldexp(u, scale), np.ldexp(f, scale)
+                exact = oracles.exact_residual_norm(op, alpha, u, fs)
+                assert exact > 0
+                assert abs(e.resolvent_residual(alpha, u, fs) - exact) <= 1e-15 * exact
+
+    def test_residual_of_an_exact_solution_is_zero(self, rng):
+        # (L + alpha) 1 = alpha on a Neumann restriction without killing
+        g = random_connected_graph(rng, 30)
+        op = assemble_neumann(g, sorted(g.vertices()))
+        ones = np.ones(len(op))
+        assert SemigroupEngine(op).resolvent_residual(1.5, ones, 1.5 * ones) == 0.0
 
     def test_contraction_bound(self, rng):
         g = random_connected_graph(rng, 30)
