@@ -20,6 +20,7 @@ import numpy as np
 from .convergence import (
     DEFAULT_REFERENCE_TOL,
     GAP_FLOOR_ABSOLUTE,
+    _check_exhaustions,
     _check_tol,
     _layout,
     _neumann_gate,
@@ -88,6 +89,7 @@ def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
     the Neumann variant accepts the largest truncation after a
     self-consistency check against the previous one.
     """
+    _check_exhaustions(g, exhaustion)
     _check_tol("tol", tol)
     _check_tol("self_tol", self_tol)
     if x not in exhaustion.sets[0]:
@@ -143,6 +145,7 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
     (VertexFunction, info) where info records the max gap, the references'
     convergence data and the positivity clamps of both references.
     """
+    _check_exhaustions(g, exhaustion)
     if not 0 < t < math.inf:
         raise InputError(f"t must be positive and finite, got {t}")
     _check_tol("self_tol", self_tol)

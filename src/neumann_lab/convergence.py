@@ -132,6 +132,19 @@ def _check_tol(name: str, value: float):
         raise InputError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_exhaustions(g: WeightedGraph, exhaustion: Exhaustion,
+                       ref_exhaustion: Exhaustion | None = None):
+    """Reject an exhaustion of another graph than g (the distances read g's
+    masses, the restrictions the exhaustion's own graph) and a reference
+    exhaustion whose last set does not cover the iterates' last set."""
+    for ex in (exhaustion, ref_exhaustion):
+        if ex is not None and ex.graph is not g:
+            raise InputError(f"the exhaustion belongs to another graph "
+                             f"({ex.graph.name!r}, not {g.name!r})")
+    if ref_exhaustion is not None and not set(exhaustion[-1]) <= set(ref_exhaustion[-1]):
+        raise InputError("reference does not cover the largest iterate set")
+
+
 def _check_phi(phi: VertexFunction):
     if any(float(v) < 0 for v in phi.values.values()):
         raise InputError("phi must be nonnegative")
@@ -246,6 +259,7 @@ def dirichlet_reference(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     domain monotonicity, which is asserted along the way.  Returns
     (VertexFunction, info dict).
     """
+    _check_exhaustions(g, exhaustion)
     if not 0 <= t < math.inf:
         raise InputError(f"t must be nonnegative and finite, got {t}")
     if any(float(v) < 0 for v in phi.values.values()):
@@ -259,6 +273,7 @@ def dirichlet_resolvent_reference(g: WeightedGraph, exhaustion: Exhaustion,
                                   alpha: float, f: VertexFunction,
                                   tol: float = DEFAULT_REFERENCE_TOL):
     """Monotone-limit proxy for the full-space Dirichlet resolvent."""
+    _check_exhaustions(g, exhaustion)
     if not 0 < alpha < math.inf:
         raise InputError(f"alpha must be positive and finite, got {alpha}")
     if any(float(v) < 0 for v in f.values.values()):
@@ -287,6 +302,7 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
     resolvent pairings <R_alpha phi, phi>_m are recorded per truncation.
     """
     _check_tol("self_tol", self_tol)
+    _check_exhaustions(g, exhaustion, ref_exhaustion)
     if reference is not None and ref_exhaustion is not None:
         raise InputError("give an explicit reference or a reference exhaustion, not both")
     explicit = reference is not None or ref_exhaustion is not None
@@ -359,6 +375,7 @@ def dirichlet_gap_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     half of the sizes, above GAP_SLOPE_FLOOR.  A gap decaying like n^{-1/2}
     (D = N with a stochastic defect) is thus not read as a floor.
     """
+    _check_exhaustions(g, exhaustion, ref_exhaustion)
     _check_phi(phi)
     ref, ref_info = dirichlet_reference(g, ref_exhaustion or exhaustion, t, phi, tol)
     probe = probe if probe is not None else exhaustion.sets[0][0]
@@ -409,6 +426,7 @@ def l1_defect_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     on the diagonal, so one factorization serves both heat actions
     (``heat_vecs``).
     """
+    _check_exhaustions(g, exhaustion, ref_exhaustion)
     ref_ex = ref_exhaustion or exhaustion
     for x in exhaustion.sets[-1] + ref_ex.sets[-1]:
         if g.killing(x) != 0:

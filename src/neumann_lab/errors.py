@@ -16,7 +16,8 @@ class InputError(NeumannLabError):
 class OverflowCapError(NeumannLabError):
     """Edge weights or degrees exceed the float-representable cap.
 
-    Carries the largest usable truncation index when known.
+    Carries the largest usable truncation index when known: every set up to
+    it restricts in both kinds, Dirichlet and Neumann.
     """
 
     def __init__(self, message, usable_cap=None):

@@ -5,7 +5,7 @@ Families:
 * ``comb``: the two-dimensional half-grid with an exponentially weighted
   base row and geometrically accelerating teeth; vertex (k, n) has measure
   2^{-n} on the base (k = 0) and 1 elsewhere, tooth edges carry weight
-  2^{n k} and base edges 4^{n+2}.  Weights are exact big rationals;
+  2^{n k} and base edges 4^{n+2}.  Weights are exact big integers;
   converting them to floats is guarded and caps the usable truncation.
 * ``bd``: birth-death chains on 0, 1, 2, ... given by rate and measure
   sequences, either closed-form presets or restricted arithmetic
@@ -17,7 +17,7 @@ Families:
 A :class:`Model` names its family, and this module owns the family rules:
 the exhaustion (growing rectangles {(k, n): k <= 2j, n <= j} for the comb,
 prefixes for chains (``bd``), hop balls around the origin otherwise), its
-default parameters and its reference continuation.
+default parameters, its reference continuation and its float cap.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .birth_death import BdChain, convergent, divergent
 from .errors import InputError, OverflowCapError
 from .graphs import Exhaustion, WeightedGraph, hop_distances, parse_graph_file
-from .operators import FLOAT_EXP_CAP
+from .operators import fits
 
 __all__ = [
     "Model",
@@ -84,41 +84,28 @@ def comb_vertex_label(v: int) -> tuple[int, int]:
     return s - n, n
 
 
-def _comb_weight(a: tuple[int, int], b: tuple[int, int]) -> int:
-    (k1, n1), (k2, n2) = a, b
-    if n1 == n2 and abs(k1 - k2) == 1:
-        return 2 ** (n1 * min(k1, k2))
-    if k1 == k2 == 0 and abs(n1 - n2) == 1:
-        return 4 ** (min(n1, n2) + 2)
-    raise InputError(f"not a comb edge: {a} - {b}")
-
-
-def _comb_measure(label: tuple[int, int]) -> Fraction | int:
-    k, n = label
+def _comb_measure(v: int) -> Fraction | int:
+    k, n = comb_vertex_label(v)
     return Fraction(1, 2 ** n) if k == 0 else 1
 
 
 def _comb_neighbors(v: int) -> dict[int, int]:
+    """Tooth edge (k, n) - (k+1, n) weighs 2^{nk}, base edge (0, n) - (0, n+1) 4^{n+2}."""
     k, n = comb_vertex_label(v)
-    out = {}
-    out[comb_vertex_id(k + 1, n)] = _comb_weight((k, n), (k + 1, n))
+    out = {comb_vertex_id(k + 1, n): 2 ** (n * k)}
     if k > 0:
-        out[comb_vertex_id(k - 1, n)] = _comb_weight((k, n), (k - 1, n))
-    if k == 0:
-        out[comb_vertex_id(0, n + 1)] = _comb_weight((0, n), (0, n + 1))
+        out[comb_vertex_id(k - 1, n)] = 2 ** (n * (k - 1))
+    else:
+        out[comb_vertex_id(0, n + 1)] = 4 ** (n + 2)
         if n > 0:
-            out[comb_vertex_id(0, n - 1)] = _comb_weight((0, n), (0, n - 1))
+            out[comb_vertex_id(0, n - 1)] = 4 ** (n + 1)
     return out
 
 
 def make_comb() -> WeightedGraph:
     """The infinite comb as a lazy graph over pairing-function vertex ids."""
-    return WeightedGraph.lazy(
-        neighbor_fn=_comb_neighbors,
-        measure_fn=lambda v: _comb_measure(comb_vertex_label(v)),
-        label_fn=comb_vertex_label,
-        name="comb",
-    )
+    return WeightedGraph.lazy(neighbor_fn=_comb_neighbors, measure_fn=_comb_measure,
+                              label_fn=comb_vertex_label, name="comb")
 
 
 def comb_rectangle(j: int) -> list[int]:
@@ -126,21 +113,9 @@ def comb_rectangle(j: int) -> list[int]:
     vertex (k, n) is new at level max(ceil(k/2), n)."""
     if j < 0:
         raise InputError("rectangle index must be nonnegative")
-    _check_comb_cap(j)
+    _check_cap(_preset_comb(), j)
     cells = sorted((max((k + 1) // 2, n), n, k) for n in range(j + 1) for k in range(2 * j + 1))
     return [comb_vertex_id(k, n) for _, n, k in cells]
-
-
-def _check_comb_cap(j: int):
-    exponent = j * max(2 * j - 1, 0)
-    if exponent > FLOAT_EXP_CAP:
-        cap = 0
-        while (cap + 1) * max(2 * (cap + 1) - 1, 0) <= FLOAT_EXP_CAP:
-            cap += 1
-        raise OverflowCapError(
-            f"comb truncation needs weights ~2^{exponent}, beyond the float cap "
-            f"2^{FLOAT_EXP_CAP}; largest usable rectangle index is {cap}",
-            usable_cap=cap)
 
 
 # -- expression-driven chains -------------------------------------------------
@@ -306,7 +281,7 @@ def make_exhaustion(model: Model, count: int,
         sizes = list(indices) if indices is not None else list(range(1, count + 1))
         if any(s < 1 for s in sizes):
             raise InputError("prefix sizes must be >= 1")
-        _check_chain_cap(model, max(sizes))
+        _check_cap(model, max(sizes))
         sets = [list(range(s)) for s in sizes]
     else:
         dist = hop_distances(g, g.vertices(), model.origin)
@@ -340,35 +315,40 @@ def reference_indices(model: Model, indices: Sequence[int]) -> list[int]:
     # vertex count of rectangle j grows ~2j^2, so doubling j gives ~4x
     goal = 2 * top + 1 if comb else 4 * top
     try:
-        if comb:
-            _check_comb_cap(goal)
-        else:
-            _check_chain_cap(model, goal)
+        _check_cap(model, goal)
     except OverflowCapError as ex:
         goal = max(ex.usable_cap, top)
     step = 1 if comb else max(1, (goal - top) // 12)
     return list(range(top, goal + 1, step))
 
 
-def _check_chain_cap(model: Model, size: int):
-    if model.chain is None:
+def _check_cap(model: Model, top: int):
+    """Raise ``OverflowCapError``, carrying the largest usable parameter,
+    unless parameter ``top`` fits: its probe vertex fits (``operators.fits``),
+    the vertex (2p, p) of largest degree in comb rectangle p or the last row
+    p - 1 of chain prefix p.  The probes' degrees grow with p, so the search
+    doubles p and then bisects, and no probe passes twice the cap (a comb row
+    there has 2p^2-bit weights).  When even the smallest parameter fails,
+    the restriction's own guard names the value."""
+    comb = model.family == "comb"
+
+    def fit(p):
+        return fits(model.graph, comb_vertex_id(2 * p, p) if comb else p - 1)
+
+    lo = 0 if comb else 1
+    if not fit(lo):
         return
-    probe = model.chain.rate_at(size - 1)
-    if isinstance(probe, (int, Fraction)):
-        num = Fraction(probe)
-        bits = num.numerator.bit_length() - num.denominator.bit_length()
-        if bits > FLOAT_EXP_CAP:
-            lo, hi = 1, size
-            while lo < hi:  # largest representable prefix
-                mid = (lo + hi + 1) // 2
-                p = Fraction(model.chain.rate_at(mid - 1))
-                if p.numerator.bit_length() - p.denominator.bit_length() <= FLOAT_EXP_CAP:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            raise OverflowCapError(
-                f"chain rates at r={size - 1} exceed the float cap; largest usable "
-                f"prefix is {lo}", usable_cap=lo)
+    hi = lo + 1
+    while hi <= top and fit(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, top + 1)  # lo fits; hi does not, or lies past top
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fit(mid) else (lo, mid)
+    if lo < top:
+        noun = "comb rectangle" if comb else "chain prefix"
+        raise OverflowCapError(f"{noun} {top} is beyond the float cap; the largest "
+                               f"usable {noun} is {lo}", usable_cap=lo)
 
 
 # -- presets -------------------------------------------------------------------

@@ -12,7 +12,8 @@ builds the float rows every solver runs on: the off-diagonal ratios b/m, the
 excess (killing mass)/m and the diagonal.  One rounding helper,
 :func:`_float_guard`, rounds every ratio: exact operands become one integer
 ratio, rounded by one correctly rounded division, and a ratio beyond the
-float cap is refused, so an operator beyond the cap fails at assembly.
+float cap is refused, so an operator beyond the cap fails at assembly;
+:func:`fits` tells ahead of assembly whether a vertex stays below it.
 Every restriction is read off the row store of an :class:`Exhaustion`
 (:func:`restrict`), which converts an interior row once for both kinds and
 every larger set and a boundary row per set; :func:`assemble_dirichlet` and
@@ -39,6 +40,7 @@ __all__ = [
     "assemble_dirichlet",
     "assemble_neumann",
     "dump_matrix",
+    "fits",
     "restrict",
 ]
 
@@ -74,6 +76,22 @@ def _float_guard(num, what: str, den=1):
         raise OverflowCapError(f"{what} ~ 2^{bits} exceeds the float cap "
                                f"2^{FLOAT_EXP_CAP}; use a smaller truncation")
     return n / d
+
+
+def fits(g: WeightedGraph, x: int) -> bool:
+    """Whether the measure of x and its whole-graph weighted degree
+    (row sum + killing)/m pass :func:`_float_guard`.  The two bound every
+    value that a restriction of either kind rounds at x, so ``models``
+    decides its caps with this predicate alone; the guards in
+    :func:`restrict` stay the backstop for custom chains whose degrees are
+    not monotone."""
+    m = g.measure(x)
+    try:
+        _float_guard(m, "measure")
+        _float_guard(g.row_sum(x) + g.killing(x), "degree", m)
+    except OverflowCapError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,7 @@ CONFIGS = [
                                       "--truncations", "10:200:10"), 2),
     ("explosive-classify", _run(EXPLOSIVE, "classify"), 0),
     ("geo-dgap", _run(GEO, "dirichlet-gap"), 0),
+    ("geo-dgap-600", _run(GEO, "dirichlet-gap", "--truncations", "10:600:10"), 1),
     ("geo-gap", _run(GEO, "gap", "--truncations", "10:50:10"), 0),
     ("geo-ec", _run(GEO, "ec"), 0),
     ("geo-classify", _run(GEO, "classify"), 0),

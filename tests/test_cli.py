@@ -205,12 +205,14 @@ class TestExperiments:
         assert len(payload["constants"]) == 20
 
     def test_ec_constant_beyond_the_float_cap_exits_1(self, capsys):
-        # on bd:geo, b/(m m) = 2^{3r+1} passes 2^1000 at the prefix r = 400
+        # on bd:geo, b/(m m) = 2^{3r+1} passes 2^1000 in prefix 400, below
+        # the prefix cap 500 that the exhaustion checks
         code, payload = run_cli(capsys, "--model", "bd:geo", "--experiment", "ec",
-                                "--truncations", "100:1000:100")
+                                "--truncations", "100:500:100")
         assert code == 1
         assert payload["error_kind"] == "input-error"
-        assert "float cap" in payload["reason"]
+        assert payload["reason"] == ("edge-condition constant ~ 2^1195 exceeds the float cap "
+                                     "2^1000; use a smaller truncation")
 
     @pytest.mark.parametrize("horizon", ["-1", "0"])
     def test_ec_empty_window_exits_1(self, capsys, horizon):
@@ -581,7 +583,7 @@ REPORT_KEYS = {
 def test_report_configs_keep_their_exit_codes(tmp_path):
     codes = report_configs.write_reports(tmp_path)
     assert codes == {name: code for name, _, code in report_configs.CONFIGS}
-    assert len(codes) == 39
+    assert len(codes) == 40
     checked = set()
     for name, argv, _ in report_configs.CONFIGS:
         # every report, error payloads included, is strict JSON

@@ -485,6 +485,16 @@ def _unit_prefixes():
 
 PHI = VertexFunction.indicator(0)
 
+
+def _no_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before the inputs were checked")
+
+    monkeypatch.setattr(SemigroupEngine, "heat_vec", no_solve)
+    monkeypatch.setattr(SemigroupEngine, "resolvent_vec", no_solve)
+    monkeypatch.setattr(convergence, "heat_vecs", no_solve)
+
+
 TOLERANCE_CALLS = {
     "reference": ("tol", lambda g, ex, v: dirichlet_reference(g, ex, 1.0, PHI, tol=v)),
     "resolvent-reference": (
@@ -510,17 +520,58 @@ TOLERANCE_CALLS = {
 def test_tolerance_must_be_positive_and_finite(call, value, monkeypatch):
     # rejected before the first solve: unchecked, the reference loop reads
     # tol=nan as a truncation failure and tol=inf as convergence at set two
-    def no_solve(*args):
-        raise AssertionError("solved with an invalid tolerance")
-
-    monkeypatch.setattr(SemigroupEngine, "heat_vec", no_solve)
-    monkeypatch.setattr(SemigroupEngine, "resolvent_vec", no_solve)
-    monkeypatch.setattr(convergence, "heat_vecs", no_solve)
+    _no_solve(monkeypatch)
     name, run = TOLERANCE_CALLS[call]
     g, ex = _unit_prefixes()
     with pytest.raises(InputError,
                        match=re.escape(f"{name} must be positive and finite, got {value}")):
         run(g, ex, value)
+
+
+# every entry point that takes a graph and an exhaustion of it
+ENTRY_POINTS = {
+    "reference": lambda g, ex: dirichlet_reference(g, ex, 1.0, PHI),
+    "resolvent-reference": lambda g, ex: dirichlet_resolvent_reference(g, ex, 1.0, PHI),
+    "neumann-convergence": lambda g, ex, **kw: neumann_convergence_experiment(g, ex, 1.0, PHI,
+                                                                             **kw),
+    "dirichlet-gap": lambda g, ex, **kw: dirichlet_gap_experiment(g, ex, 1.0, PHI, **kw),
+    "l1-defect": lambda g, ex, **kw: l1_defect_experiment(g, ex, 1.0, PHI, **kw),
+    "feller": lambda g, ex: feller_estimate(g, ex, 1.0, 0),
+    "gap": lambda g, ex: semigroup_gap(g, ex, 1.0, 0),
+}
+WITH_REFERENCE = ["neumann-convergence", "dirichlet-gap", "l1-defect"]
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS)
+def test_exhaustion_of_another_graph_rejected(call, monkeypatch):
+    # unchecked, the distances read bd:geo's masses off the bd:unit restrictions
+    _no_solve(monkeypatch)
+    _, ex = _unit_prefixes()
+    geo = models.PRESETS["bd:geo"]().graph
+    with pytest.raises(InputError, match=re.escape(
+            "the exhaustion belongs to another graph ('bd:unit', not 'bd:geo')")):
+        ENTRY_POINTS[call](geo, ex)
+
+
+@pytest.mark.parametrize("call", WITH_REFERENCE)
+def test_reference_exhaustion_of_another_graph_rejected(call, monkeypatch):
+    _no_solve(monkeypatch)
+    g, ex = _unit_prefixes()
+    geo = models.PRESETS["bd:geo"]()
+    ref_ex = models.make_exhaustion(geo, 0, indices=[30, 40])
+    with pytest.raises(InputError, match=re.escape(
+            "the exhaustion belongs to another graph ('bd:geo', not 'bd:unit')")):
+        ENTRY_POINTS[call](g, ex, ref_exhaustion=ref_ex)
+
+
+@pytest.mark.parametrize("call", WITH_REFERENCE)
+def test_reference_exhaustion_must_cover_the_iterates(call, monkeypatch):
+    _no_solve(monkeypatch)
+    m = models.PRESETS["bd:unit"]()
+    ex = models.make_exhaustion(m, 0, indices=range(10, 81, 10))
+    ref_ex = models.make_exhaustion(m, 0, indices=[20, 41])
+    with pytest.raises(InputError, match="reference does not cover the largest iterate set"):
+        ENTRY_POINTS[call](m.graph, ex, ref_exhaustion=ref_ex)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** -600])

@@ -1,3 +1,4 @@
+import functools
 import re
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from neumann_lab.errors import InputError, OverflowCapError
 from neumann_lab import models
 from neumann_lab.graphs import is_connected
+from neumann_lab.operators import OperatorKind, fits, restrict
 
 
 class TestCombWeights:
@@ -106,6 +108,48 @@ class TestOverflowGuards:
             models.make_exhaustion(m, 0, indices=[700])
         assert exc.value.usable_cap is not None
         models.make_exhaustion(m, 0, indices=[exc.value.usable_cap])
+
+
+class TestFloatCap:
+    """A comb rectangle or chain prefix is usable when every row of its set
+    fits (``operators.fits``); ``models`` probes one row per parameter."""
+
+    @pytest.mark.parametrize("name,cap", [("bd:explosive", 500), ("bd:geo", 500),
+                                          ("comb", 22)])
+    def test_every_set_restricts_in_both_kinds_up_to_the_usable_cap(self, name, cap):
+        m = models.PRESETS[name]()
+        with pytest.raises(OverflowCapError) as exc:
+            models.make_exhaustion(m, 0, indices=[cap + 1])
+        assert exc.value.usable_cap == cap
+        ex = models.make_exhaustion(m, cap + 1 if name == "comb" else cap)
+        for k in range(len(ex)):
+            for kind in OperatorKind:
+                restrict(ex, k, kind)
+
+    @pytest.mark.parametrize("name", sorted(models.PRESETS))
+    def test_probe_agrees_with_a_scan_of_every_row(self, name):
+        m = models.PRESETS[name]()
+        if name == "comb":
+            params = range(24)
+
+            def rows(p):
+                return [models.comb_vertex_id(k, n) for n in range(p + 1)
+                        for k in range(2 * p + 1)]
+        else:
+            params = range(1, 601)
+
+            def rows(p):
+                return range(p)
+        fit = functools.cache(lambda x: fits(m.graph, x))
+        for p in params:
+            usable = all(map(fit, rows(p)))
+            if usable:
+                cap = p
+            try:
+                models._check_cap(m, p)
+                assert usable, p
+            except OverflowCapError as exc:
+                assert not usable and exc.usable_cap == cap, p
 
 
 class TestExpressions:
