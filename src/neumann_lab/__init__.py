@@ -8,7 +8,6 @@ from .errors import (
     NeumannLabError,
     OverflowCapError,
     TruncationInsufficientError,
-    UndeterminedClassificationError,
 )
 from .graphs import (
     Exhaustion,

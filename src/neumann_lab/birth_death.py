@@ -23,14 +23,14 @@ decay rate is a Dirichlet resolvent, solved by the library's engine.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import KW_ONLY, asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NeumannLabError, TruncationInsufficientError, UndeterminedClassificationError
+from .errors import InputError, NeumannLabError, TruncationInsufficientError
 from .graphs import VertexFunction
 from .operators import assemble_dirichlet
 from .semigroup import SemigroupEngine
@@ -83,13 +83,14 @@ class BdChain:
 class SeriesCertificate:
     """Auditable justification for a divergence/convergence verdict.
 
-    ``method`` is "comparison" (with an asymptotic power ``term ~ r^-power``
-    or a geometric ``ratio``) or "assertion" (caller-supplied).  The
-    comparison data must be consistent with the claimed verdict.
+    An asymptotic power ``term ~ r^-power`` or a geometric ``ratio`` makes
+    it a "comparison" certificate and must be consistent with the claimed
+    verdict; without either, ``method`` is "assertion" (caller-supplied).
     """
 
     verdict: str                  # "divergent" | "convergent"
-    method: str = "assertion"
+    method: str = field(init=False)
+    _: KW_ONLY
     note: str = ""
     power: float | None = None
     ratio: float | None = None
@@ -97,33 +98,28 @@ class SeriesCertificate:
     def __post_init__(self):
         if self.verdict not in ("divergent", "convergent"):
             raise InputError(f"unknown verdict {self.verdict!r}")
-        if self.method not in ("comparison", "assertion"):
-            raise InputError(f"unknown certificate method {self.method!r}")
-        if self.method == "comparison":
-            if self.power is None and self.ratio is None:
-                raise InputError("comparison certificate needs a power or a ratio")
-            if self.power is not None:
-                ok = (self.power <= 1) if self.verdict == "divergent" else (self.power > 1)
-                if not ok:
-                    raise InputError(
-                        f"power {self.power} inconsistent with verdict {self.verdict!r}")
-            if self.ratio is not None:
-                ok = (self.ratio >= 1) if self.verdict == "divergent" else (self.ratio < 1)
-                if not ok:
-                    raise InputError(
-                        f"ratio {self.ratio} inconsistent with verdict {self.verdict!r}")
+        if self.power is not None:
+            ok = (self.power <= 1) if self.verdict == "divergent" else (self.power > 1)
+            if not ok:
+                raise InputError(
+                    f"power {self.power} inconsistent with verdict {self.verdict!r}")
+        if self.ratio is not None:
+            ok = (self.ratio >= 1) if self.verdict == "divergent" else (self.ratio < 1)
+            if not ok:
+                raise InputError(
+                    f"ratio {self.ratio} inconsistent with verdict {self.verdict!r}")
+        comparison = self.power is not None or self.ratio is not None
+        object.__setattr__(self, "method", "comparison" if comparison else "assertion")
 
 
 def divergent(note: str = "", *, power: float | None = None,
               ratio: float | None = None) -> SeriesCertificate:
-    method = "comparison" if (power is not None or ratio is not None) else "assertion"
-    return SeriesCertificate("divergent", method, note, power, ratio)
+    return SeriesCertificate("divergent", note=note, power=power, ratio=ratio)
 
 
 def convergent(note: str = "", *, power: float | None = None,
                ratio: float | None = None) -> SeriesCertificate:
-    method = "comparison" if (power is not None or ratio is not None) else "assertion"
-    return SeriesCertificate("convergent", method, note, power, ratio)
+    return SeriesCertificate("convergent", note=note, power=power, ratio=ratio)
 
 
 def _float_or_none(value) -> float | None:
@@ -150,12 +146,6 @@ class SeriesRecord:
     def last(self):
         """The last partial sum, or None for a series with no terms."""
         return self.partial_sums[-1] if self.partial_sums else None
-
-    def require(self, what: str) -> str:
-        if self.verdict == "undetermined":
-            raise UndeterminedClassificationError(
-                f"series {self.name!r} has no certificate; needed for {what}")
-        return self.verdict
 
 
 @dataclass(frozen=True)
@@ -206,21 +196,30 @@ def classify(chain: BdChain, horizon: int,
     booleans.
 
     ``certificates`` overrides the chain's defaults per key ("measure",
-    "inv_b", "tail", "hamburger").  The measure certificate may also be the
-    string "finite" or "infinite".  Missing certificates leave the
-    corresponding verdicts (and dependent booleans) undetermined rather
-    than guessing from partial sums.
+    "inv_b", "tail", "hamburger"); any other key is rejected.  The measure
+    certificate may also be the string "finite" or "infinite".  Missing
+    certificates leave the corresponding verdicts (and dependent booleans)
+    undetermined rather than guessing from partial sums.
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    certs = dict(chain.certificates)
-    certs.update(certificates or {})
+    certs = {**chain.certificates, **(certificates or {})}
+    for key in certs:
+        if key not in ("measure", "inv_b", "tail", "hamburger"):
+            raise InputError(f"unknown certificate key {key!r}")
+    mcert = certs.get("measure")
+    if isinstance(mcert, SeriesCertificate):
+        mcert = "infinite" if mcert.verdict == "divergent" else "finite"
+    if mcert not in (None, "finite", "infinite"):
+        raise InputError("measure certificate must be 'finite', 'infinite' or a "
+                         f"SeriesCertificate, got {mcert!r}")
+    measure_verdict = ("finite" if chain.measure_total is not None
+                       else mcert or "undetermined")
 
     rates = [chain.rate_at(r) for r in range(horizon + 1)]
     measures = [chain.measure_at(r) for r in range(horizon + 1)]
 
-    inv_b_partials = list(accumulate(
-        1 / Fraction(b) if isinstance(b, (int, Fraction)) else 1.0 / b for b in rates))
+    inv_b_partials = list(accumulate(Fraction(1) / b for b in rates))
 
     tail_terms = []
     if chain.measure_total is not None:
@@ -234,19 +233,6 @@ def classify(chain: BdChain, horizon: int,
 
     hamb_partials = list(accumulate(
         s ** 2 * m for s, m in zip(inv_b_partials, measures[1:])))
-
-    # measure verdict
-    mcert = certs.get("measure")
-    if chain.measure_total is not None:
-        measure_verdict = "finite"
-    elif isinstance(mcert, str):
-        if mcert not in ("finite", "infinite"):
-            raise InputError(f"measure certificate must be finite/infinite, got {mcert!r}")
-        measure_verdict = mcert
-    elif isinstance(mcert, SeriesCertificate):
-        measure_verdict = "infinite" if mcert.verdict == "divergent" else "finite"
-    else:
-        measure_verdict = "undetermined"
 
     def record(name: str, partials: list, default_verdict: str | None = None) -> SeriesRecord:
         cert = certs.get(name)

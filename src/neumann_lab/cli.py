@@ -1,9 +1,9 @@
 """Command-line front end: named experiments, CSV/JSON reports, plot data.
 
 Exit codes: 0 success, 1 input or invariant error, 2 truncation
-insufficient, 3 undetermined classification.  Reports carry a schema
-version and a machine-readable error reason; re-running a config
-reproduces the report byte for byte apart from the timestamp.
+insufficient, 3 a classification report flagged undetermined.  Reports
+carry a schema version and a machine-readable error reason; re-running a
+config reproduces the report byte for byte apart from the timestamp.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ import sys
 import time
 
 from . import analysis, birth_death, convergence, models
-from .errors import (
-    InputError,
-    NeumannLabError,
-    OverflowCapError,
-    TruncationInsufficientError,
-    UndeterminedClassificationError,
-)
+from .errors import InputError, NeumannLabError, OverflowCapError, TruncationInsufficientError
 from .graphs import VertexFunction
 # assemble_neumann is not called here; the benchmark's tracer patches it
 from .operators import OperatorKind, assemble_neumann, dump_matrix, restrict
@@ -110,6 +104,8 @@ def parse_certificates(text: str | None) -> dict:
         if ":" in value:
             value, note = value.split(":", 1)
         key, value = key.strip(), value.strip()
+        if key in out:
+            raise InputError(f"certificate key {key!r} given twice")
         if key == "measure":
             if value in ("finite", "infinite"):
                 out[key] = value
@@ -136,33 +132,22 @@ def _csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
-def _report_rows(report):
-    """(columns, rows, tidy (k, metric, value) rows), or None without rows."""
+def _report_table(report):
+    """(columns, rows, number of leading key columns), or None without rows."""
     if isinstance(report, convergence.ConvergenceReport):
         cols = report.CSV_COLUMNS
-        rows = [[r[c] for c in cols] for r in report.rows()]
-        tidy = []
-        for r in report.rows():
-            for metric in cols[2:]:
-                if r[metric] is not None:
-                    tidy.append((r["k"], metric, r[metric]))
-        return cols, rows, tidy
+        return cols, [[r[c] for c in cols] for r in report.rows()], 2
     if isinstance(report, analysis.FellerReport):
-        rows = list(zip(report.ball_radii, report.sup_outside))
-        return ("radius", "sup_outside"), rows, [(r, "sup_outside", s) for r, s in rows]
+        return ("radius", "sup_outside"), list(zip(report.ball_radii, report.sup_outside)), 1
     if isinstance(report, birth_death.BdClassification):
-        cols = ("r", "inv_b_partial", "tail_partial", "hamburger_partial")
         series = (report.series_inv_b, report.series_tail, report.hamburger)
         rows = [(r, *(birth_death._float_or_none(s.partial_sums[r])
                       if r < len(s.partial_sums) else None for s in series))
                 for r in range(len(report.series_inv_b.partial_sums))]
-        tidy = [(row[0], metric, value) for row in rows
-                for metric, value in zip(cols[1:], row[1:]) if value is not None]
-        return cols, rows, tidy
+        return ("r", "inv_b_partial", "tail_partial", "hamburger_partial"), rows, 1
     if isinstance(report, birth_death.CombBetaResult):
         lo = report.window[0]
-        rows = [(lo + i, ratio) for i, ratio in enumerate(report.ratios)]
-        return ("k", "ratio"), rows, [(k, "ratio", v) for k, v in rows]
+        return ("k", "ratio"), [(lo + i, ratio) for i, ratio in enumerate(report.ratios)], 1
     return None
 
 
@@ -270,9 +255,12 @@ def _emit(payload: dict, report, out_prefix: str | None):
         return
     with open(out_prefix + ".json", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    tables = _report_rows(report)
-    if tables is not None:
-        columns, rows, tidy = tables
+    table = _report_table(report)
+    if table is not None:
+        columns, rows, keys = table
+        # tidy: one (first key, metric, value) row per non-empty metric cell
+        tidy = [(row[0], metric, value) for row in rows
+                for metric, value in zip(columns[keys:], row[keys:]) if value is not None]
         with open(out_prefix + ".csv", "w", encoding="utf-8") as fh:
             fh.write(_csv_text(columns, rows))
         with open(out_prefix + "_tidy.csv", "w", encoding="utf-8") as fh:
@@ -283,12 +271,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, report = run(args)
-    except (TruncationInsufficientError,) as ex:
+    except TruncationInsufficientError as ex:
         _emit_error(args, ex, "truncation-insufficient")
         return 2
-    except UndeterminedClassificationError as ex:
-        _emit_error(args, ex, "undetermined-classification")
-        return 3
     except (InputError, OverflowCapError) as ex:
         _emit_error(args, ex, "input-error")
         return 1

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes: input problems exit 1,
-insufficient truncations exit 2, undetermined classifications exit 3.
+insufficient truncations exit 2.  Exit 3 comes from no exception: the CLI
+returns it after writing a classification report flagged undetermined.
 """
 
 
@@ -37,7 +38,3 @@ class TruncationInsufficientError(NeumannLabError):
         super().__init__(message)
         self.last_increment = last_increment
         self.increments = increments
-
-
-class UndeterminedClassificationError(NeumannLabError):
-    """A series verdict was required but no certificate was supplied."""

@@ -2,8 +2,7 @@
 
 A graph here is a countable vertex set X with a strictly positive measure m,
 symmetric nonnegative edge weights b with zero diagonal and finite row sums,
-and a nonnegative killing term c.  Vertices are opaque integer ids; models
-that need structured indices (e.g. a two-dimensional comb) attach a label map.
+and a nonnegative killing term c.  Vertices are opaque integer ids.
 
 Every graph keeps one store per vertex: its neighbour row (positive weights
 only), its measure and its killing.  A finite graph fills the store at
@@ -75,8 +74,7 @@ class WeightedGraph:
     """
 
     def __init__(self, *, _rows=None, _measures=None, _killings=None,
-                 _neighbor_fn=None, _measure_fn=None, _killing_fn=None,
-                 _label_fn=None, name=""):
+                 _neighbor_fn=None, _measure_fn=None, _killing_fn=None, name=""):
         self.name = name
         self._rows: dict[int, dict[int, object]] = {} if _rows is None else _rows
         self._measures: dict[int, object] = {} if _measures is None else _measures
@@ -84,7 +82,6 @@ class WeightedGraph:
         self._neighbor_fn = _neighbor_fn
         self._measure_fn = _measure_fn
         self._killing_fn = _killing_fn
-        self._label_fn = _label_fn
 
     # -- construction ---------------------------------------------------
 
@@ -131,7 +128,6 @@ class WeightedGraph:
     def lazy(cls, neighbor_fn: Callable[[int], Mapping[int, object]],
              measure_fn: Callable[[int], object],
              killing_fn: Callable[[int], object] | None = None,
-             label_fn: Callable[[int], object] | None = None,
              name: str = "") -> "WeightedGraph":
         """Build a lazily enumerated (typically infinite) graph.
 
@@ -145,7 +141,7 @@ class WeightedGraph:
         raises stores nothing.
         """
         return cls(_neighbor_fn=neighbor_fn, _measure_fn=measure_fn,
-                   _killing_fn=killing_fn, _label_fn=label_fn, name=name)
+                   _killing_fn=killing_fn, name=name)
 
     # -- queries ---------------------------------------------------------
 
@@ -202,11 +198,6 @@ class WeightedGraph:
         """Total degree sum_y b(x,y) of the full (unrestricted) graph."""
         return sum(self._row(x).values())
 
-    def label(self, x: int):
-        if self._label_fn is None:
-            return x
-        return self._label_fn(x)
-
 
 # -- vertex functions ------------------------------------------------------
 
@@ -242,10 +233,7 @@ class VertexFunction:
     @staticmethod
     def delta(graph: WeightedGraph, x: int) -> "VertexFunction":
         """Point mass normalized to unit l1(m) norm: 1_x / m(x)."""
-        m = graph.measure(x)
-        if isinstance(m, (int, Fraction)):
-            return VertexFunction({x: Fraction(1, 1) / Fraction(m)})
-        return VertexFunction({x: 1.0 / m})
+        return VertexFunction({x: Fraction(1) / graph.measure(x)})
 
 
 # -- exhaustions -----------------------------------------------------------

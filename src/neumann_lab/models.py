@@ -104,8 +104,7 @@ def _comb_neighbors(v: int) -> dict[int, int]:
 
 def make_comb() -> WeightedGraph:
     """The infinite comb as a lazy graph over pairing-function vertex ids."""
-    return WeightedGraph.lazy(neighbor_fn=_comb_neighbors, measure_fn=_comb_measure,
-                              label_fn=comb_vertex_label, name="comb")
+    return WeightedGraph.lazy(neighbor_fn=_comb_neighbors, measure_fn=_comb_measure, name="comb")
 
 
 def comb_rectangle(j: int) -> list[int]:

@@ -73,6 +73,10 @@ CONFIGS = [
     ("path12-ec-dump", _run(PATH12, "ec", "--truncations", "0:3", "--dump-matrix"), 0),
     ("custom-classify", _run(["--model", "bd:custom", "--rate", "(r+1)**2",
                               "--measure", "1"], "classify", "--horizon", "200"), 3),
+    ("custom-classify-certified",
+     _run(["--model", "bd:custom", "--rate", "(r+1)**2", "--measure", "1"], "classify",
+          "--horizon", "100", "--certify",
+          "measure=infinite,inv_b=convergent:p-series,hamburger=divergent:grows"), 0),
     ("comb-nc-ref12", _run(COMB, "neumann-convergence", "--truncations", "2:6",
                            "--ref", "12", "--alpha", "1.0"), 0),
     ("comb-nc-ref5", _run(COMB, "neumann-convergence", "--truncations", "2:6",

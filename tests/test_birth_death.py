@@ -8,6 +8,7 @@ import pytest
 from neumann_lab import models
 from neumann_lab.birth_death import (
     BdChain,
+    SeriesCertificate,
     classify,
     comb_beta_extraction,
     convergent,
@@ -18,7 +19,6 @@ from neumann_lab.errors import (
     InputError,
     NeumannLabError,
     TruncationInsufficientError,
-    UndeterminedClassificationError,
 )
 
 BETA_TARGET = (3.0 - math.sqrt(5.0)) / 2.0
@@ -66,8 +66,17 @@ class TestClassify:
         assert c.measure_verdict == "undetermined"
         assert c.neumann_feller is None
         assert c.undetermined
-        with pytest.raises(UndeterminedClassificationError):
-            c.series_inv_b.require("feller verdict")
+
+    @pytest.mark.parametrize("mcert", [True, 3])
+    def test_malformed_measure_certificate_rejected(self, mcert):
+        chain = BdChain(rate=lambda r: Fraction(1), measure=lambda r: Fraction(1))
+        with pytest.raises(InputError, match="measure certificate must be"):
+            classify(chain, 10, {"measure": mcert})
+
+    def test_unknown_certificate_key_rejected(self):
+        chain = BdChain(rate=lambda r: Fraction(1), measure=lambda r: Fraction(1))
+        with pytest.raises(InputError, match="unknown certificate key 'invb'"):
+            classify(chain, 10, {"invb": divergent()})
 
     def test_certificate_overrides(self):
         chain = BdChain(rate=lambda r: Fraction(1), measure=lambda r: Fraction(1))
@@ -106,6 +115,17 @@ class TestClassify:
             divergent("bad", power=2.0)
         with pytest.raises(InputError, match="inconsistent"):
             convergent("bad", ratio=1.5)
+
+    def test_certificate_power_checked_without_a_method(self):
+        # power 5 certifies convergence, whatever the caller calls the method
+        with pytest.raises(InputError, match="inconsistent"):
+            SeriesCertificate("divergent", power=5.0)
+
+    def test_certificate_method_is_derived(self):
+        assert divergent("asserted").method == "assertion"
+        assert convergent(ratio=0.5).method == "comparison"
+        with pytest.raises(TypeError):
+            SeriesCertificate("divergent", "assertion")
 
     def test_classifier_boolean_invariants_on_presets(self):
         for name in ("bd:unit", "bd:geo", "bd:explosive", "bd:tail"):

@@ -49,6 +49,13 @@ class TestParsing:
             with pytest.raises(InputError):
                 parse_certificates(bad)
 
+    def test_certificate_key_given_twice_exits_1(self, capsys):
+        code, payload = run_cli(capsys, "--model", "bd:unit", "--experiment", "classify",
+                                "--certify", "inv_b=divergent:a,inv_b=convergent:b")
+        assert code == 1
+        assert payload["error_kind"] == "input-error"
+        assert payload["reason"] == "certificate key 'inv_b' given twice"
+
     def test_chain_reference_indices(self):
         explosive = models.PRESETS["bd:explosive"]()
         unit = models.PRESETS["bd:unit"]()
@@ -583,7 +590,7 @@ REPORT_KEYS = {
 def test_report_configs_keep_their_exit_codes(tmp_path):
     codes = report_configs.write_reports(tmp_path)
     assert codes == {name: code for name, _, code in report_configs.CONFIGS}
-    assert len(codes) == 40
+    assert len(codes) == 41
     checked = set()
     for name, argv, _ in report_configs.CONFIGS:
         # every report, error payloads included, is strict JSON

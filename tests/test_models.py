@@ -36,10 +36,6 @@ class TestCombWeights:
             for n in range(20):
                 assert models.comb_vertex_label(models.comb_vertex_id(k, n)) == (k, n)
 
-    def test_labels_exposed(self):
-        g = models.make_comb()
-        assert g.label(models.comb_vertex_id(5, 7)) == (5, 7)
-
 
 class TestExhaustions:
     def test_chain_prefixes(self):
