@@ -15,9 +15,13 @@ moment-type series  sum (sum_{k<=r} 1/b)^2 m(r+1).
 Series divergence can never be read off finitely many partial sums, so
 every boolean verdict requires a certificate: a comparison-style bound or
 an explicit caller assertion.  Without one the verdict is undetermined.
-Partial sums and the alpha-harmonic recursion are exact whenever the data
-are rational; the recursion runs in mpmath otherwise.  The comb's tooth
-decay rate is a Dirichlet resolvent, solved by the library's engine.
+The partial sums are reported as floats.  On exact data (every rate and
+measure, and the total mass, an int or a Fraction) each series is summed
+in integers over one running denominator, and every partial sum is the
+exact sum rounded once; inexact data are summed in their own arithmetic.
+The alpha-harmonic recursion is exact whenever the data are rational and
+runs in mpmath otherwise.  The comb's tooth decay rate is a Dirichlet
+resolvent, solved by the library's engine.
 """
 
 from __future__ import annotations
@@ -133,12 +137,26 @@ def _float_or_none(value) -> float | None:
         return None
 
 
+def _ratio_or_none(num: int, den: int) -> float | None:
+    """num/den (den > 0) correctly rounded, as ``float(Fraction(num, den))``
+    rounds it, or None beyond float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return None
+
+
 @dataclass(frozen=True)
 class SeriesRecord:
-    """Partial sums of a positive series plus its certified verdict."""
+    """Partial sums of a positive series plus its certified verdict.
+
+    ``partial_sums`` holds floats: on exact data each is the exact partial
+    sum rounded once, on inexact data the float of the sum in the data's
+    arithmetic; None where the value is beyond float range.
+    """
 
     name: str
-    partial_sums: list
+    partial_sums: list[float | None]
     verdict: str                  # "divergent" | "convergent" | "undetermined"
     certificate: SeriesCertificate | None = None
 
@@ -162,6 +180,7 @@ class BdClassification:
     horizon: int
     measure_total: object | None
     measure_verdict: str          # "finite" | "infinite" | "undetermined"
+    measure_certificate: SeriesCertificate | None
     series_inv_b: SeriesRecord
     series_tail: SeriesRecord
     hamburger: SeriesRecord
@@ -179,14 +198,71 @@ class BdClassification:
             value = getattr(self, f.name)
             if isinstance(value, SeriesRecord):
                 value = {"name": value.name,
-                         "last_partial_sum": _float_or_none(value.last),
+                         "last_partial_sum": value.last,
                          "verdict": value.verdict,
                          "certificate": (None if value.certificate is None
                                          else asdict(value.certificate))}
+            elif isinstance(value, SeriesCertificate):
+                value = asdict(value)
             out[f.name] = value
         out["measure_total"] = _float_or_none(self.measure_total)
         out["undetermined"] = self.undetermined
         return out
+
+
+def _negative_tail(total, r: int) -> InputError:
+    return InputError(f"measure_total {total} smaller than prefix mass at r={r}")
+
+
+def _running_sums(terms):
+    """Yield the exact partial sums of integer-ratio terms (n, d), d > 0, as
+    pairs (numerator, denominator).  The denominator is the lcm of the
+    terms' denominators so far, so the numerators stay integers and no sum
+    needs a gcd."""
+    num, den = 0, 1
+    for n, d in terms:
+        if den % d:
+            lcm = math.lcm(den, d)
+            num, den = num * (lcm // den), lcm
+        num += n * (den // d)
+        yield num, den
+
+
+def _exact_series(rates, measures, total) -> tuple[list, list, list]:
+    """Partial sums of the inv_b, tail and hamburger series on int/Fraction
+    data, each the exact sum rounded once.  The tail series is empty
+    without a total mass."""
+    b = [v.as_integer_ratio() for v in rates]
+    m = [v.as_integer_ratio() for v in measures]
+    inv_b = list(_running_sums((bd, bn) for bn, bd in b))
+    tail = []
+    if total is not None:
+        tn, td = total.as_integer_ratio()
+        # the tail mass m({r+1, ...}) = total - prefix mass, over b(r, r+1)
+        for r, ((pn, pd), (bn, bd)) in enumerate(zip(_running_sums(m), b)):
+            rest = tn * pd - pn * td
+            if rest < 0:
+                raise _negative_tail(total, r)
+            tail.append((rest * bd, td * pd * bn))
+    hamburger = ((sn * sn * mn, sd * sd * md) for (sn, sd), (mn, md) in zip(inv_b, m[1:]))
+    return tuple([_ratio_or_none(n, d) for n, d in sums]
+                 for sums in (inv_b, _running_sums(tail), _running_sums(hamburger)))
+
+
+def _inexact_series(rates, measures, total) -> tuple[list, list, list]:
+    """The same partial sums in the arithmetic of the data (floats, mpf),
+    each converted to a float."""
+    inv_b = list(accumulate(Fraction(1) / b for b in rates))
+    tail = []
+    if total is not None:
+        for r, prefix_mass in enumerate(accumulate(measures)):
+            rest = total - prefix_mass
+            if rest < 0:
+                raise _negative_tail(total, r)
+            tail.append(rest / rates[r])
+    hamburger = accumulate(s ** 2 * m for s, m in zip(inv_b, measures[1:]))
+    return tuple([_float_or_none(v) for v in sums]
+                 for sums in (inv_b, accumulate(tail), hamburger))
 
 
 def classify(chain: BdChain, horizon: int,
@@ -197,9 +273,17 @@ def classify(chain: BdChain, horizon: int,
 
     ``certificates`` overrides the chain's defaults per key ("measure",
     "inv_b", "tail", "hamburger"); any other key is rejected.  The measure
-    certificate may also be the string "finite" or "infinite".  Missing
-    certificates leave the corresponding verdicts (and dependent booleans)
-    undetermined rather than guessing from partial sums.
+    certificate may also be the string "finite" or "infinite", which stands
+    for a bare convergent or divergent assertion about sum m(r); the report
+    carries it as a SeriesCertificate.  Missing certificates leave the
+    corresponding verdicts (and dependent booleans) undetermined rather
+    than guessing from partial sums.
+
+    The partial sums are floats.  When every rate, every measure and the
+    total mass are int or Fraction, they are summed exactly in integers and
+    each partial sum is rounded once, so it equals ``float`` of the exact
+    Fraction sum, or None where that is beyond float range.  Other data
+    are summed in their own arithmetic.
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
@@ -208,31 +292,25 @@ def classify(chain: BdChain, horizon: int,
         if key not in ("measure", "inv_b", "tail", "hamburger"):
             raise InputError(f"unknown certificate key {key!r}")
     mcert = certs.get("measure")
-    if isinstance(mcert, SeriesCertificate):
-        mcert = "infinite" if mcert.verdict == "divergent" else "finite"
-    if mcert not in (None, "finite", "infinite"):
+    if mcert in ("finite", "infinite"):
+        mcert = convergent() if mcert == "finite" else divergent()
+    elif mcert is not None and not isinstance(mcert, SeriesCertificate):
         raise InputError("measure certificate must be 'finite', 'infinite' or a "
                          f"SeriesCertificate, got {mcert!r}")
-    measure_verdict = ("finite" if chain.measure_total is not None
-                       else mcert or "undetermined")
+    if chain.measure_total is not None:
+        measure_verdict = "finite"
+    elif mcert is None:
+        measure_verdict = "undetermined"
+    else:
+        measure_verdict = "infinite" if mcert.verdict == "divergent" else "finite"
 
     rates = [chain.rate_at(r) for r in range(horizon + 1)]
     measures = [chain.measure_at(r) for r in range(horizon + 1)]
-
-    inv_b_partials = list(accumulate(Fraction(1) / b for b in rates))
-
-    tail_terms = []
-    if chain.measure_total is not None:
-        for r, prefix_mass in enumerate(accumulate(measures)):
-            tail = chain.measure_total - prefix_mass
-            if tail < 0:
-                raise InputError(
-                    f"measure_total {chain.measure_total} smaller than prefix mass at r={r}")
-            tail_terms.append(tail / rates[r])
-    tail_partials = list(accumulate(tail_terms))
-
-    hamb_partials = list(accumulate(
-        s ** 2 * m for s, m in zip(inv_b_partials, measures[1:])))
+    total = chain.measure_total
+    exact = all(isinstance(v, (int, Fraction))
+                for v in (*rates, *measures, 0 if total is None else total))
+    series = _exact_series if exact else _inexact_series
+    inv_b_partials, tail_partials, hamb_partials = series(rates, measures, total)
 
     def record(name: str, partials: list, default_verdict: str | None = None) -> SeriesRecord:
         cert = certs.get(name)
@@ -271,6 +349,7 @@ def classify(chain: BdChain, horizon: int,
         horizon=horizon,
         measure_total=chain.measure_total,
         measure_verdict=measure_verdict,
+        measure_certificate=mcert,
         series_inv_b=inv_b_rec,
         series_tail=tail_rec,
         hamburger=hamb_rec,

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from itertools import zip_longest
 
 from . import analysis, birth_death, convergence, models
 from .errors import InputError, NeumannLabError, OverflowCapError, TruncationInsufficientError
@@ -107,19 +108,18 @@ def parse_certificates(text: str | None) -> dict:
         if key in out:
             raise InputError(f"certificate key {key!r} given twice")
         if key == "measure":
-            if value in ("finite", "infinite"):
-                out[key] = value
-            else:
+            # a finite measure is a convergent series sum m(r)
+            if value not in ("finite", "infinite"):
                 raise InputError("measure certificate must be finite or infinite")
-        elif key in ("inv_b", "tail", "hamburger"):
-            if value == "divergent":
-                out[key] = birth_death.divergent(note)
-            elif value == "convergent":
-                out[key] = birth_death.convergent(note)
-            else:
-                raise InputError(f"verdict {value!r} must be divergent or convergent")
-        else:
+            value = "convergent" if value == "finite" else "divergent"
+        elif key not in ("inv_b", "tail", "hamburger"):
             raise InputError(f"unknown certificate key {key!r}")
+        if value == "divergent":
+            out[key] = birth_death.divergent(note)
+        elif value == "convergent":
+            out[key] = birth_death.convergent(note)
+        else:
+            raise InputError(f"verdict {value!r} must be divergent or convergent")
     return out
 
 
@@ -140,10 +140,10 @@ def _report_table(report):
     if isinstance(report, analysis.FellerReport):
         return ("radius", "sup_outside"), list(zip(report.ball_radii, report.sup_outside)), 1
     if isinstance(report, birth_death.BdClassification):
+        # the inv_b series is the longest; the others are padded with None
         series = (report.series_inv_b, report.series_tail, report.hamburger)
-        rows = [(r, *(birth_death._float_or_none(s.partial_sums[r])
-                      if r < len(s.partial_sums) else None for s in series))
-                for r in range(len(report.series_inv_b.partial_sums))]
+        rows = [(r, *sums) for r, sums in
+                enumerate(zip_longest(*(s.partial_sums for s in series)))]
         return ("r", "inv_b_partial", "tail_partial", "hamburger_partial"), rows, 1
     if isinstance(report, birth_death.CombBetaResult):
         lo = report.window[0]

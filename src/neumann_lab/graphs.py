@@ -256,12 +256,25 @@ class Exhaustion:
 
     @staticmethod
     def build(graph: WeightedGraph, sets: Sequence[Sequence[int]]) -> "Exhaustion":
-        """Check and order the sets; no restriction checks them again."""
+        """Check and order the sets; no restriction checks them again.
+
+        Connectivity is one union-find pass: each set adds its new vertices
+        and joins them along their rows, so every row is read once, for the
+        first set that holds its vertex.
+        """
         if not sets:
             raise InputError("exhaustion needs at least one set")
         canon: list[tuple[int, ...]] = []
         prev: list[int] = []
         prev_set: set[int] = set()
+        parent: dict[int, int] = {}  # union-find forest over the current set
+
+        def root(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        components = 0
         for k, raw in enumerate(sets):
             raw = list(raw)
             raw_set = set(raw)
@@ -272,9 +285,18 @@ class Exhaustion:
             if not prev_set <= raw_set:
                 raise InputError(f"exhaustion set {k} does not contain set {k - 1}")
             new = [x for x in raw if x not in prev_set]
-            ordered = prev + new
-            if not is_connected(graph, ordered):
+            parent.update((x, x) for x in new)
+            components += len(new)
+            for x in new:
+                for y in graph._row(x):
+                    if y in parent:
+                        rx, ry = root(x), root(y)
+                        if rx != ry:
+                            parent[rx] = ry
+                            components -= 1
+            if components != 1:
                 raise InputError(f"exhaustion set {k} induces a disconnected subgraph")
+            ordered = prev + new
             canon.append(tuple(ordered))
             prev, prev_set = ordered, raw_set
         return Exhaustion(graph, tuple(canon), (canon[-1], []))

@@ -7,7 +7,8 @@ eigendecomposition, explicit RK4 integration, the elimination order on
 to the dynamic range, the quadratic form and its
 variational principle, the minimum-principle bound, the Laplace-transform
 route to the resolvent (over the engine's heat action), the pole/residue
-sum of the rational approximation, and the resolvent residual's norm in
+sum of the rational approximation, the resolvent residual's norm in
+Fraction arithmetic, and the birth-death classification series summed in
 Fraction arithmetic.  ``scale`` and ``heat_apply`` are
 conveniences the tests share.  The references live with the tests so that
 no package path can come to depend on them: the package must never import
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Sequence
 
 import mpmath as mp
@@ -413,3 +414,26 @@ def exact_residual_norm(op: RestrictedOperator, alpha: float, u: np.ndarray,
         total += s * s / Fraction(m)
     with mp.workdps(60):
         return float(mp.sqrt(mp.mpf(total.numerator) / total.denominator))
+
+
+# -- birth-death classification series ---------------------------------------
+
+
+def classification_partial_sums(chain, horizon: int) -> tuple[list, list, list]:
+    """The inv_b, tail and hamburger partial sums that ``classify`` rounds,
+    as exact Fractions (each term reduced by a gcd; the package keeps one
+    running denominator).  The tail series is empty without a total mass; a
+    total below a prefix mass raises the package's InputError."""
+    rates = [Fraction(chain.rate_at(r)) for r in range(horizon + 1)]
+    measures = [Fraction(chain.measure_at(r)) for r in range(horizon + 1)]
+    inv_b = list(accumulate(1 / b for b in rates))
+    tail = []
+    if chain.measure_total is not None:
+        total = Fraction(chain.measure_total)
+        for r, prefix_mass in enumerate(accumulate(measures)):
+            if total < prefix_mass:
+                raise InputError(f"measure_total {chain.measure_total} smaller than "
+                                 f"prefix mass at r={r}")
+            tail.append((total - prefix_mass) / rates[r])
+    hamburger = accumulate(s * s * m for s, m in zip(inv_b, measures[1:]))
+    return inv_b, list(accumulate(tail)), list(hamburger)

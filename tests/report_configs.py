@@ -88,6 +88,10 @@ CONFIGS = [
     ("unit-nc-t-nan", _run(UNIT, "neumann-convergence", "--t", "nan"), 1),
     ("comb-ul1-t-inf", _run(COMB, "uniform-l1", "--truncations", "2:4", "--t", "inf"), 1),
     ("comb-ec-dump", _run(COMB, "ec", "--truncations", "2:4", "--dump-matrix"), 0),
+    ("geo-classify-4000", _run(GEO, "classify", "--horizon", "4000"), 0),
+    ("custom-classify-overflow", _run(["--model", "bd:custom", "--rate", "1",
+                                       "--measure", "2**(2*r)"], "classify",
+                                      "--horizon", "1000"), 3),
 ]
 
 

@@ -21,6 +21,8 @@ from neumann_lab.errors import (
     TruncationInsufficientError,
 )
 
+import oracles
+
 BETA_TARGET = (3.0 - math.sqrt(5.0)) / 2.0
 
 
@@ -108,7 +110,7 @@ class TestClassify:
         chain = BdChain(rate=lambda r: 1, measure=lambda r: 1,
                         measure_total=Fraction(5, 2))
         c = classify(chain, 1)
-        assert c.series_tail.partial_sums == [Fraction(3, 2), Fraction(2)]
+        assert c.series_tail.partial_sums == [1.5, 2.0]
 
     def test_comparison_certificate_consistency_checked(self):
         with pytest.raises(InputError, match="inconsistent"):
@@ -127,6 +129,17 @@ class TestClassify:
         with pytest.raises(TypeError):
             SeriesCertificate("divergent", "assertion")
 
+    def test_measure_certificate_in_use_is_reported(self):
+        chain = BdChain(rate=lambda r: 1, measure=lambda r: 1)
+        assert classify(chain, 5).measure_certificate is None
+        assert classify(chain, 5, {"measure": "infinite"}).measure_certificate == divergent()
+        assert classify(chain, 5, {"measure": "finite"}).measure_certificate == convergent()
+        unit = classify(models.PRESETS["bd:unit"]().chain, 5)
+        assert unit.measure_certificate == divergent("constant measure", power=0.0)
+        note = divergent("caller")
+        assert classify(models.PRESETS["bd:unit"]().chain, 5,
+                        {"measure": note}).measure_certificate is note
+
     def test_classifier_boolean_invariants_on_presets(self):
         for name in ("bd:unit", "bd:geo", "bd:explosive", "bd:tail"):
             c = classify(models.PRESETS[name]().chain, 150)
@@ -134,6 +147,74 @@ class TestClassify:
             if c.neumann_feller:
                 assert c.ess_self_adjoint is True
                 assert c.hamburger.verdict == "divergent"
+
+
+def _rounded(value):
+    """float(value), or None beyond float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+ORACLE_CHAINS = {
+    "bd:unit": lambda: models.PRESETS["bd:unit"]().chain,
+    "bd:geo": lambda: models.PRESETS["bd:geo"]().chain,
+    "bd:explosive": lambda: models.PRESETS["bd:explosive"]().chain,
+    # the hamburger partial sums pass 2^1024 near r = 512
+    "overflow": lambda: models.make_bd_chain("1", "2**(2*r)").chain,
+    # int data with an int total: the tail series is exact, not float-divided
+    "int-total": lambda: BdChain(rate=lambda r: r + 1, measure=lambda r: 1 + r % 3,
+                                 measure_total=3 * 10 ** 4),
+    "fraction-total": lambda: BdChain(rate=lambda r: Fraction(r + 2, 3),
+                                      measure=lambda r: Fraction(1, (r + 1) * (r + 2)),
+                                      measure_total=Fraction(1)),
+}
+
+
+class TestSeriesOracle:
+    @pytest.mark.parametrize("name", list(ORACLE_CHAINS))
+    def test_every_partial_sum_is_the_exact_sum_rounded_once(self, name):
+        chain = ORACLE_CHAINS[name]()
+        c = classify(chain, 1000)
+        for record, exact in zip((c.series_inv_b, c.series_tail, c.hamburger),
+                                 oracles.classification_partial_sums(chain, 1000)):
+            assert record.partial_sums == [_rounded(v) for v in exact], record.name
+        if name == "overflow":
+            assert c.hamburger.partial_sums[-1] is None
+            assert c.hamburger.partial_sums[500] is not None
+
+    @pytest.mark.parametrize("total", [7, Fraction(15, 2)])
+    def test_negative_tail_error_matches_oracle(self, total):
+        chain = BdChain(rate=lambda r: 2, measure=lambda r: 1, measure_total=total)
+        with pytest.raises(InputError) as want:
+            oracles.classification_partial_sums(chain, 50)
+        with pytest.raises(InputError) as got:
+            classify(chain, 50)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith("at r=7")
+
+    def test_float_path_is_plain_float_arithmetic(self):
+        # bd:tail has float rates and a float total, Fraction measures
+        chain = models.PRESETS["bd:tail"]().chain
+        horizon = 400
+        c = classify(chain, horizon)
+        inv_b, tail, hamburger = [], [], []
+        s = t = h = 0.0
+        prefix_mass = Fraction(0)
+        for r in range(horizon + 1):
+            b = chain.rate_at(r)
+            prefix_mass += chain.measure_at(r)
+            s += 1.0 / b
+            t += (chain.measure_total - float(prefix_mass)) / b
+            inv_b.append(s)
+            tail.append(t)
+            if r < horizon:
+                h += s ** 2 * float(chain.measure_at(r + 1))
+                hamburger.append(h)
+        assert c.series_inv_b.partial_sums == inv_b
+        assert c.series_tail.partial_sums == tail
+        assert c.hamburger.partial_sums == hamburger
 
 
 class TestAlphaHarmonic:
@@ -279,7 +360,7 @@ class TestHamburger:
     def test_single_term(self):
         chain = BdChain(rate=lambda r: Fraction(2), measure=lambda r: Fraction(3))
         rec = classify(chain, 1).hamburger
-        assert rec.partial_sums[0] == Fraction(3, 4)  # (1/2)^2 * 3
+        assert rec.partial_sums == [0.75]  # (1/2)^2 * 3
 
     def test_geo_chain_certified_convergent(self):
         m = models.PRESETS["bd:geo"]()

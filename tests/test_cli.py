@@ -1,10 +1,12 @@
 import json
 import math
 import shutil
+from dataclasses import asdict
 
 import pytest
 
 from neumann_lab import graphs, models, semigroup
+from neumann_lab.birth_death import convergent, divergent
 from neumann_lab.cli import EXPERIMENTS, main, parse_certificates, parse_truncations
 from neumann_lab.models import reference_indices
 from neumann_lab.errors import InputError
@@ -42,7 +44,12 @@ class TestParsing:
         certs = parse_certificates("inv_b=divergent:harmonic,measure=infinite")
         assert certs["inv_b"].verdict == "divergent"
         assert certs["inv_b"].note == "harmonic"
-        assert certs["measure"] == "infinite"
+        assert certs["measure"] == divergent()
+
+    @pytest.mark.parametrize("value,cert", [("infinite", divergent("constant measure")),
+                                            ("finite", convergent("constant measure"))])
+    def test_measure_certificate_keeps_its_note(self, value, cert):
+        assert parse_certificates(f"measure={value}:constant measure") == {"measure": cert}
 
     def test_bad_certificates(self):
         for bad in ("inv_b", "inv_b=maybe", "zzz=divergent", "measure=big"):
@@ -575,7 +582,7 @@ REPORT_KEYS = {
     "gap": ["schema", "experiment", "t", "source", "gap_at_source", "max_gap",
             "self_distance", "metadata", "status", "config", "timestamp"],
     "classify": ["schema", "experiment", "chain", "horizon", "measure_total",
-                 "measure_verdict", "series_inv_b", "series_tail", "hamburger",
+                 "measure_verdict", "measure_certificate", "series_inv_b", "series_tail", "hamburger",
                  "neumann_feller", "nontrivial_l1_harmonic_exists", "ess_self_adjoint",
                  "undetermined", "status", "config", "timestamp"],
     "comb-beta": ["schema", "experiment", "beta", "spread", "depth", "window",
@@ -590,7 +597,7 @@ REPORT_KEYS = {
 def test_report_configs_keep_their_exit_codes(tmp_path):
     codes = report_configs.write_reports(tmp_path)
     assert codes == {name: code for name, _, code in report_configs.CONFIGS}
-    assert len(codes) == 41
+    assert len(codes) == 43
     checked = set()
     for name, argv, _ in report_configs.CONFIGS:
         # every report, error payloads included, is strict JSON
@@ -600,6 +607,8 @@ def test_report_configs_keep_their_exit_codes(tmp_path):
             assert list(payload) == REPORT_KEYS[payload["experiment"]] + dump, name
             checked.add(payload["experiment"])
     assert checked == set(REPORT_KEYS)
+    unit = load_report((tmp_path / "unit-classify.json").read_text())
+    assert unit["measure_certificate"] == asdict(divergent("constant measure", power=0.0))
 
 
 def test_compare_lists_every_changed_value(tmp_path, capsys):

@@ -172,6 +172,28 @@ class TestExhaustion:
         assert set(ex[2]) == {0, 1, 2, 3, 4}
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_build_rejects_at_the_first_disconnected_set(seed):
+    """Exhaustion.build rejects exactly at the first set that is_connected
+    rejects, and otherwise keeps each set's new vertices in input order."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n_max=16)
+    order = rng.permutation(len(g)).tolist()
+    cuts = sorted(set(rng.integers(1, len(g) + 1, size=int(rng.integers(1, 6))).tolist()))
+    sets = [rng.permutation(order[:c]).tolist() for c in cuts]
+    first = next((k for k, s in enumerate(sets) if not is_connected(g, s)), None)
+    if first is not None:
+        with pytest.raises(InputError,
+                           match=f"^exhaustion set {first} induces a disconnected subgraph$"):
+            Exhaustion.build(g, sets)
+        return
+    ex = Exhaustion.build(g, sets)
+    for k, s in enumerate(sets):
+        old = set(sets[k - 1]) if k else set()
+        assert ex[k] == (ex[k - 1] if k else ()) + tuple(x for x in s if x not in old)
+
+
 class TestVertexFunctionNorms:
     def test_measure_weighted_norms(self):
         g = WeightedGraph.from_data({(0, 1): 1}, {0: 4, 1: 1})
