@@ -20,12 +20,13 @@ measure, and the total mass, an int or a Fraction) each series is summed
 in integers over one running denominator, and every partial sum is the
 exact sum rounded once; inexact data are summed in their own arithmetic.
 The alpha-harmonic recursion is exact whenever the data are rational and
-runs in mpmath otherwise.  The comb's tooth decay rate is a Dirichlet
-resolvent, solved by the library's engine.
+runs in a 17-digit ``decimal`` context otherwise.  The comb's tooth decay
+rate is a Dirichlet resolvent, solved by the library's engine.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import KW_ONLY, asdict, dataclass, field, fields
 from fractions import Fraction
@@ -275,7 +276,8 @@ def classify(chain: BdChain, horizon: int,
     "inv_b", "tail", "hamburger"); any other key is rejected.  The measure
     certificate may also be the string "finite" or "infinite", which stands
     for a bare convergent or divergent assertion about sum m(r); the report
-    carries it as a SeriesCertificate.  Missing certificates leave the
+    carries it as a SeriesCertificate.  A divergent one contradicts a
+    ``measure_total`` and is rejected.  Missing certificates leave the
     corresponding verdicts (and dependent booleans) undetermined rather
     than guessing from partial sums.
 
@@ -297,12 +299,13 @@ def classify(chain: BdChain, horizon: int,
     elif mcert is not None and not isinstance(mcert, SeriesCertificate):
         raise InputError("measure certificate must be 'finite', 'infinite' or a "
                          f"SeriesCertificate, got {mcert!r}")
+    measure_verdict = ("undetermined" if mcert is None
+                       else "infinite" if mcert.verdict == "divergent" else "finite")
     if chain.measure_total is not None:
+        if measure_verdict == "infinite":
+            raise InputError(f"a divergent measure certificate contradicts "
+                             f"measure_total {chain.measure_total}")
         measure_verdict = "finite"
-    elif mcert is None:
-        measure_verdict = "undetermined"
-    else:
-        measure_verdict = "infinite" if mcert.verdict == "divergent" else "finite"
 
     rates = [chain.rate_at(r) for r in range(horizon + 1)]
     measures = [chain.measure_at(r) for r in range(horizon + 1)]
@@ -368,9 +371,10 @@ class HarmonicSolution:
 
     ``residual`` is the sup of |(Delta + alpha) u| over the interior where
     all neighbor values are known; ``partial_l1`` the running sums
-    sum_{r <= horizon} u(r) m(r).  Exact rational inputs yield exact
-    entries.  ``lemma_lower_bounds``, when present, carry the running
-    tail-sum lower bounds that l1 partial sums must dominate.
+    sum_{r <= horizon} u(r) m(r).  ``values`` and ``partial_l1`` hold exact
+    Fractions on rational inputs and ``Decimal``s otherwise.
+    ``lemma_lower_bounds``, when present, carry the running tail-sum lower
+    bounds that l1 partial sums must dominate.
     """
 
     alpha: float
@@ -381,31 +385,34 @@ class HarmonicSolution:
     trivial: bool = False
 
 
-def _mpf(value):
-    """value as an mpf at the working precision, rounded once to nearest
-    (``mp.mpf`` rejects a Fraction, so it is divided out exactly).  mpmath
-    is imported here, on the inexact path only, to keep it out of start-up."""
-    import mpmath as mp
+# a binary64-class mantissa whose exponent can neither overflow nor underflow
+_DECIMAL = decimal.Context(prec=17, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
-    if isinstance(value, Fraction):
-        return mp.fdiv(value.numerator, value.denominator)
-    return mp.mpf(value)
+
+def _decimal(value) -> decimal.Decimal:
+    """value rounded once to nearest in ``_DECIMAL``, from its exact ratio."""
+    try:
+        num, den = value.as_integer_ratio()
+    except (AttributeError, OverflowError, ValueError):
+        raise InputError(f"cannot lift {value!r} of type {type(value).__name__}: "
+                         "it has no finite as_integer_ratio()") from None
+    return _DECIMAL.divide(num, den)
 
 
 def solve_alpha_harmonic(chain: BdChain, alpha, u0, horizon: int) -> HarmonicSolution:
     """March the three-term recursion of (Delta + alpha) u = 0 from u(0).
 
-    u(1) = u(0)(1 + alpha m(0)/b(0,1)) and for r >= 1
-    u(r+1) = u(r) + [ b(r-1,r)(u(r)-u(r-1)) + alpha m(r) u(r) ] / b(r,r+1).
-
-    For u0 > 0 every increment u(r+1) - u(r) is positive (asserted).
-    Rational inputs are solved exactly.  Any other input lifts the whole
-    state to mpmath at its working precision (53 bits by default, which
-    rounds like binary64 but has an unbounded exponent), so values, ratios
-    and boundedness verdicts survive where floats would overflow or
-    underflow.  Returns partial l1 sums together with the running lower
-    bounds alpha*u(0)*m(0) * sum_{k<r} (truncated tail)/b(k,k+1) that they
-    must dominate.
+    The step s(r) = u(r+1) - u(r) is carried, never recomputed from the
+    values: b(r,r+1) s(r) = b(r-1,r) s(r-1) + alpha m(r) u(r), which is alpha
+    times the l1 partial sum to r.  Every operation adds, multiplies or
+    divides positive numbers, so a value carries at most about 3r roundings;
+    for u0 > 0 every step is positive (asserted).  Rational inputs are solved
+    exactly.  Any other input is rounded once into a 17-digit ``decimal``
+    context with an unbounded exponent, so values, ratios and boundedness
+    verdicts survive where floats would overflow or underflow; an input
+    without ``as_integer_ratio`` raises InputError.  Returns partial l1 sums
+    together with the running lower bounds alpha*u(0)*m(0) *
+    sum_{k<r} (truncated tail)/b(k,k+1) that they must dominate.
     """
     if horizon < 2:
         raise InputError("horizon must be >= 2")
@@ -425,49 +432,42 @@ def solve_alpha_harmonic(chain: BdChain, alpha, u0, horizon: int) -> HarmonicSol
                                 trivial=True)
 
     exact = all(isinstance(v, (int, Fraction)) for v in (alpha, u0, *rates, *measures))
-    lift = Fraction if exact else _mpf
-    alpha_n, u_prev = lift(alpha), lift(u0)
-    rates = [lift(b) for b in rates]
-    measures = [lift(m) for m in measures]
+    lift = Fraction if exact else _decimal
+    with decimal.localcontext(_DECIMAL):
+        alpha_n = lift(alpha)
+        rates = [lift(b) for b in rates]
+        measures = [lift(m) for m in measures]
+        values = [lift(u0)]
+        partial_l1 = [values[0] * measures[0]]
+        for r in range(horizon):
+            step = alpha_n * partial_l1[r] / rates[r]
+            if not step > 0:
+                raise NeumannLabError(
+                    f"alpha-harmonic solution failed to increase at r = {r}: step {step!r}")
+            # the rounded values stop increasing once a step drops below an ulp
+            values.append(values[r] + step)
+            partial_l1.append(partial_l1[r] + values[r + 1] * measures[r + 1])
 
-    lead = alpha_n * measures[0] / rates[0]
-    u_curr = u_prev * (1 + lead)
-    values = [u_prev, u_curr]
-    # the increments u(r+1) - u(r) as computed: the rounded values stop
-    # increasing once an increment drops below an ulp of u(r)
-    steps = [u_prev * lead]
-    for r in range(1, horizon):
-        step = (rates[r - 1] * (u_curr - u_prev) + alpha_n * measures[r] * u_curr) / rates[r]
-        u_prev, u_curr = u_curr, u_curr + step
-        values.append(u_curr)
-        steps.append(step)
-    for r, step in enumerate(steps):
-        if not step > 0:
-            raise NeumannLabError(
-                f"alpha-harmonic solution failed to increase at r = {r}: step {step!r}")
+        # running lower bounds: alpha u(0) m(0) * sum_{k<H} (sum_{k<r<=H} m(r))/b(k)
+        # computed as M(H) C(H) - sum_{k<H} M(k)/b(k), M and C the prefix sums
+        # of m and 1/b
+        alpha_tilde = alpha_n * values[0] * measures[0]
+        masses = list(accumulate(measures))
+        inv_prefix = accumulate(1 / b for b in rates[:horizon])
+        weighted = accumulate(mass / b for mass, b in zip(masses, rates[:horizon]))
+        bounds = [0] + [alpha_tilde * (mass * inv - w)
+                        for mass, inv, w in zip(masses[1:], inv_prefix, weighted)]
 
-    partial_l1 = list(accumulate(v * m for v, m in zip(values, measures)))
-
-    # running lower bounds: alpha u(0) m(0) * sum_{k<H} (sum_{k<r<=H} m(r))/b(k)
-    # computed as M(H) C(H) - sum_{k<H} M(k)/b(k), M and C the prefix sums
-    # of m and 1/b
-    alpha_tilde = alpha_n * values[0] * measures[0]
-    masses = list(accumulate(measures))
-    inv_prefix = accumulate(1 / b for b in rates[:horizon])
-    weighted = accumulate(mass / b for mass, b in zip(masses, rates[:horizon]))
-    bounds = [0] + [alpha_tilde * (mass * inv - w)
-                    for mass, inv, w in zip(masses[1:], inv_prefix, weighted)]
-
-    # residual of the recursion over the interior, exact arithmetic -> 0;
-    # normalize before leaving mpf so huge scales cannot overflow to inf
-    residual = 0.0
-    if not exact:
-        for r in range(1, horizon):
-            lhs = (rates[r - 1] * (values[r] - values[r - 1])
-                   + rates[r] * (values[r] - values[r + 1])) / measures[r] + alpha_n * values[r]
-            scale = rates[r] * values[r] / measures[r]
-            if scale != 0:
-                residual = max(residual, abs(float(lhs / scale)))
+        # residual of the three-term equation, independent of the carried
+        # steps (exact arithmetic -> 0); normalized before leaving Decimal
+        residual = 0.0
+        if not exact:
+            for r in range(1, horizon):
+                lhs = (rates[r - 1] * (values[r] - values[r - 1])
+                       + rates[r] * (values[r] - values[r + 1])) / measures[r] + alpha_n * values[r]
+                scale = rates[r] * values[r] / measures[r]
+                if scale != 0:
+                    residual = max(residual, abs(float(lhs / scale)))
 
     vf = VertexFunction({r: v for r, v in enumerate(values)})
     return HarmonicSolution(alpha=float(alpha), values=vf, residual=residual,

@@ -8,9 +8,10 @@ to the dynamic range, the quadratic form and its
 variational principle, the minimum-principle bound, the Laplace-transform
 route to the resolvent (over the engine's heat action), the pole/residue
 sum of the rational approximation, the resolvent residual's norm in
-Fraction arithmetic, and the birth-death classification series summed in
-Fraction arithmetic.  ``scale`` and ``heat_apply`` are
-conveniences the tests share.  The references live with the tests so that
+Fraction arithmetic, the birth-death classification series summed in
+Fraction arithmetic, and the alpha-harmonic recursion at 300 bits on carried
+steps and in Fraction with each step recomputed from the values.  ``scale``
+and ``heat_apply`` are conveniences the tests share.  The references live with the tests so that
 no package path can come to depend on them: the package must never import
 this module.
 """
@@ -437,3 +438,37 @@ def classification_partial_sums(chain, horizon: int) -> tuple[list, list, list]:
             tail.append((total - prefix_mass) / rates[r])
     hamburger = accumulate(s * s * m for s, m in zip(inv_b, measures[1:]))
     return inv_b, list(accumulate(tail)), list(hamburger)
+
+
+# -- alpha-harmonic recursion -------------------------------------------------
+
+
+def alpha_harmonic_carried_mp(chain, alpha, u0, horizon: int) -> list:
+    """u(0..horizon) of (Delta + alpha) u = 0 with the step carried,
+    s(r) = (b(r-1) s(r-1) + alpha m(r) u(r)) / b(r) and u(r+1) = u(r) + s(r),
+    in mpmath at 300 bits (the package carries b(r) s(r) instead)."""
+    with mp.workprec(300):
+        alpha = _to_mpf(alpha)
+        values = [_to_mpf(u0)]
+        flux = mp.mpf(0)  # b(r-1) s(r-1)
+        for r in range(horizon):
+            rate = _to_mpf(chain.rate_at(r))
+            step = (flux + alpha * _to_mpf(chain.measure_at(r)) * values[r]) / rate
+            values.append(values[r] + step)
+            flux = rate * step
+        return values
+
+
+def alpha_harmonic_subtracting(chain, alpha, u0, horizon: int) -> list[Fraction]:
+    """u(0..horizon) by the three-term recursion as written, each step
+    recomputed from the values,
+    u(r+1) = u(r) + [b(r-1)(u(r) - u(r-1)) + alpha m(r) u(r)] / b(r),
+    in Fraction arithmetic (exact data only)."""
+    b = [Fraction(chain.rate_at(r)) for r in range(horizon)]
+    m = [Fraction(chain.measure_at(r)) for r in range(horizon)]
+    alpha = Fraction(alpha)
+    values = [Fraction(u0), Fraction(u0) * (1 + alpha * m[0] / b[0])]
+    for r in range(1, horizon):
+        step = (b[r - 1] * (values[r] - values[r - 1]) + alpha * m[r] * values[r]) / b[r]
+        values.append(values[r] + step)
+    return values

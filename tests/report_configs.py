@@ -92,6 +92,7 @@ CONFIGS = [
     ("custom-classify-overflow", _run(["--model", "bd:custom", "--rate", "1",
                                        "--measure", "2**(2*r)"], "classify",
                                       "--horizon", "1000"), 3),
+    ("geo-classify-infinite-measure", _run(GEO, "classify", "--certify", "measure=infinite"), 1),
 ]
 
 

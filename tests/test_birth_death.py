@@ -1,7 +1,9 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -140,6 +142,14 @@ class TestClassify:
         assert classify(models.PRESETS["bd:unit"]().chain, 5,
                         {"measure": note}).measure_certificate is note
 
+    def test_divergent_measure_certificate_beside_a_total_is_rejected(self):
+        # bd:geo has m(X) = 2, so sum m(r) cannot be certified divergent
+        chain = models.PRESETS["bd:geo"]().chain
+        for cert in ("infinite", divergent("caller")):
+            with pytest.raises(InputError, match="contradicts measure_total 2"):
+                classify(chain, 10, {"measure": cert})
+        assert classify(chain, 10, {"measure": "finite"}).measure_verdict == "finite"
+
     def test_classifier_boolean_invariants_on_presets(self):
         for name in ("bd:unit", "bd:geo", "bd:explosive", "bd:tail"):
             c = classify(models.PRESETS[name]().chain, 150)
@@ -276,13 +286,13 @@ class TestAlphaHarmonic:
             assert abs(u[i] - expect) <= 1e-10 * abs(expect)
 
     def test_float_path_switches_beyond_overflow(self):
-        # float rates, solution grows past 1e308: the mpmath state's
+        # float rates, solution grows past 1e308: the decimal context's
         # unbounded exponent must keep values finite and increasing
         chain = BdChain(rate=lambda r: 1.0, measure=lambda r: 1.0, name="float-unit")
         sol = solve_alpha_harmonic(chain, 1.0, 1.0, 900)
         last = sol.values(900)
         assert last > 1e300
-        assert sol.values(899) < last  # mpf comparison, float() would overflow
+        assert sol.values(899) < last  # Decimal comparison, float() would overflow
         assert sol.residual <= 1e-9
 
     @pytest.mark.parametrize("name,horizon", [("bd:geo", 80), ("bd:explosive", 100)])
@@ -338,15 +348,48 @@ class TestAlphaHarmonic:
                            match=re.escape(f"u0 must be nonnegative and finite, got {value}")):
             solve_alpha_harmonic(chain, 1, value, 20)
 
-    def test_fraction_and_mpf_inputs_still_solve(self):
-        import mpmath
-
+    def test_float_inputs_solve_and_mpf_inputs_are_rejected(self):
         chain = models.PRESETS["bd:geo"]().chain
         exact = solve_alpha_harmonic(chain, Fraction(1, 2), Fraction(3), 20)
-        lifted = solve_alpha_harmonic(chain, mpmath.mpf("0.5"), mpmath.mpf(3), 20)
+        lifted = solve_alpha_harmonic(chain, 0.5, 3.0, 20)
         assert all(isinstance(v, Fraction) for v in exact.partial_l1)
+        assert all(isinstance(lifted.values(r), Decimal) for r in range(21))
         for a, b in zip(exact.partial_l1, lifted.partial_l1):
-            assert float(b) == pytest.approx(float(a), rel=1e-14)
+            assert abs(float(b) - float(a)) <= 1e-15 * float(a)
+        for r in range(21):
+            want = float(exact.values(r))
+            assert abs(float(lifted.values(r)) - want) <= 1e-15 * want
+        # an mpf has no as_integer_ratio to round it from
+        with pytest.raises(InputError, match="of type mpf"):
+            solve_alpha_harmonic(chain, mpmath.mpf("0.5"), mpmath.mpf(3), 20)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_chain_data_is_input_error(self, value):
+        chain = BdChain(rate=lambda r: value if r == 3 else 1.0, measure=lambda r: 1.0)
+        with pytest.raises(InputError, match=f"cannot lift {value} of type float"):
+            solve_alpha_harmonic(chain, 1.0, 1.0, 10)
+
+    @pytest.mark.parametrize("name,horizon",
+                             [("bd:tail", 20000), ("bd:explosive", 900), ("bd:geo", 400)])
+    def test_inexact_values_within_a_linear_rounding_bound(self, name, horizon):
+        # every operation of the carried recursion adds, multiplies or
+        # divides positive numbers, so u(r) carries at most about 3(r+1)
+        # roundings of 5e-17 (17 digits); the reference runs the step form
+        # at 300 bits
+        chain = models.PRESETS[name]().chain
+        sol = solve_alpha_harmonic(chain, 1.0, 1.0, horizon)
+        reference = oracles.alpha_harmonic_carried_mp(chain, 1.0, 1.0, horizon)
+        with mpmath.workprec(300):
+            for r, want in enumerate(reference):
+                error = abs(mpmath.mpf(str(sol.values(r))) / want - 1)
+                assert error <= 3 * (r + 1) * 5e-17, r
+
+    @pytest.mark.parametrize("name", ["bd:unit", "bd:geo", "bd:explosive"])
+    def test_exact_values_match_the_subtracting_recursion(self, name):
+        chain = models.PRESETS[name]().chain
+        sol = solve_alpha_harmonic(chain, Fraction(2, 3), Fraction(1, 2), 80)
+        want = oracles.alpha_harmonic_subtracting(chain, Fraction(2, 3), Fraction(1, 2), 80)
+        assert [sol.values(r) for r in range(81)] == want
 
 
 class TestHamburger:

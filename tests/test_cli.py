@@ -151,6 +151,13 @@ class TestExperiments:
         assert code == 0
         assert payload["neumann_feller"] is True  # infinite measure branch
 
+    def test_classify_infinite_measure_beside_a_total_exits_1(self, capsys):
+        code, payload = run_cli(capsys, "--model", "bd:geo", "--experiment", "classify",
+                                "--certify", "measure=infinite")
+        assert code == 1
+        assert payload["error_kind"] == "input-error"
+        assert "contradicts measure_total 2" in payload["reason"]
+
     def test_gap_on_finite_file_graph(self, capsys, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("V 0 1 0\nV 1 1 0\nV 2 1 0\nE 0 1 1\nE 1 2 1\n")
@@ -597,7 +604,7 @@ REPORT_KEYS = {
 def test_report_configs_keep_their_exit_codes(tmp_path):
     codes = report_configs.write_reports(tmp_path)
     assert codes == {name: code for name, _, code in report_configs.CONFIGS}
-    assert len(codes) == 43
+    assert len(codes) == 44
     checked = set()
     for name, argv, _ in report_configs.CONFIGS:
         # every report, error payloads included, is strict JSON

@@ -65,9 +65,9 @@ def test_package_imports_sit_at_module_level():
     assert nested == [("birth_death", "models")]
 
 
-def test_only_birth_death_imports_mpmath():
-    """The engines run in float64; mpmath serves the exact series of the
-    birth-death classifier alone."""
+def test_no_package_module_imports_mpmath():
+    """numpy is the package's one runtime dependency: mpmath serves the
+    tests' references alone."""
     importers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -75,15 +75,20 @@ def test_only_birth_death_imports_mpmath():
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             if any(name.split(".")[0] == "mpmath" for name in names):
                 importers.add(path.stem)
-    assert importers == {"birth_death"}
+    assert importers == set()
 
 
-def test_importing_the_cli_leaves_mpmath_unloaded():
-    """Only the inexact alpha-harmonic path imports mpmath, on first use."""
-    code = ("import sys, neumann_lab.cli; assert 'mpmath' not in sys.modules; "
-            "from neumann_lab import birth_death, models; "
-            "birth_death.solve_alpha_harmonic(models.PRESETS['bd:geo']().chain, 1.0, 1, 10); "
-            "assert 'mpmath' in sys.modules")
+def test_the_chain_solvers_run_without_mpmath():
+    """With mpmath unimportable, every chain preset classifies and the
+    alpha-harmonic recursion runs on float and on exact data."""
+    code = ("import sys; sys.modules['mpmath'] = None\n"
+            "import neumann_lab.cli\n"
+            "from neumann_lab import birth_death, models\n"
+            "for name in ('bd:unit', 'bd:geo', 'bd:explosive', 'bd:tail'):\n"
+            "    birth_death.classify(models.PRESETS[name]().chain, 50)\n"
+            "chain = models.PRESETS['bd:geo']().chain\n"
+            "birth_death.solve_alpha_harmonic(chain, 1.0, 1.0, 20)\n"
+            "birth_death.solve_alpha_harmonic(chain, 1, 1, 20)\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
