@@ -22,6 +22,7 @@ from .convergence import (
     GAP_FLOOR_ABSOLUTE,
     _check_exhaustions,
     _check_tol,
+    _l1,
     _layout,
     _neumann_gate,
     _truncation,
@@ -225,14 +226,13 @@ def uniform_l1_check(g: WeightedGraph, subset: Sequence[int], horizon: float,
     running = vec.copy()
     for t in times[1:]:
         running = np.maximum(running, engine.heat_vec(float(t), vec))
-    value = float((np.abs(running - vec) * op.measure_vector).sum())
+    value = _l1(running - vec, op.measure_vector)
     # ||Delta phi||_1 over the support's closed neighborhood, on the parent graph
-    delta_l1 = 0.0
     closed = set(support)
     for v in support:
         closed.update(g.neighbors(v))
-    for v in closed:
-        delta_l1 += abs(float(formal_laplacian(g, phi, v))) * float(g.measure(v))
+    delta_l1 = math.fsum(abs(float(formal_laplacian(g, phi, v))) * float(g.measure(v))
+                         for v in closed)
     bound = horizon * delta_l1
     if value > bound + 1e-9:
         raise NeumannLabError(

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InputError, NeumannLabError, TruncationInsufficientError
 from .graphs import VertexFunction
-from .operators import assemble_dirichlet
+from .operators import _running_sums, assemble_dirichlet
 from .semigroup import SemigroupEngine
 
 __all__ = [
@@ -54,15 +54,17 @@ __all__ = [
     "convergent",
 ]
 
+CERTIFICATE_KEYS = ("measure", "inv_b", "tail", "hamburger")
+
+
 @dataclass(frozen=True)
 class BdChain:
-    """Birth-death chain data: rate(r) = b(r, r+1) > 0 and measure m(r) > 0.
+    """Birth-death chain data: positive finite rate(r) = b(r, r+1) and m(r).
 
     ``measure_total`` is the total mass when finite and known; the
     classifier reads the tail masses m({r+1, r+2, ...}) off it, so without
     it the tail series has no partial sums.  ``certificates`` carries
-    default series certificates for the classifier (keys: "measure",
-    "inv_b", "tail", "hamburger").
+    default series certificates for the classifier (``CERTIFICATE_KEYS``).
     """
 
     rate: Callable[[int], object]
@@ -73,14 +75,14 @@ class BdChain:
 
     def rate_at(self, r: int):
         value = self.rate(r)
-        if value <= 0:
-            raise InputError(f"rate b({r},{r + 1}) = {value} must be positive")
+        if not 0 < value < math.inf:  # also rejects nan
+            raise InputError(f"rate b({r},{r + 1}) = {value} must be positive and finite")
         return value
 
     def measure_at(self, r: int):
         value = self.measure(r)
-        if value <= 0:
-            raise InputError(f"measure m({r}) = {value} must be positive")
+        if not 0 < value < math.inf:
+            raise InputError(f"measure m({r}) = {value} must be positive and finite")
         return value
 
 
@@ -215,20 +217,6 @@ def _negative_tail(total, r: int) -> InputError:
     return InputError(f"measure_total {total} smaller than prefix mass at r={r}")
 
 
-def _running_sums(terms):
-    """Yield the exact partial sums of integer-ratio terms (n, d), d > 0, as
-    pairs (numerator, denominator).  The denominator is the lcm of the
-    terms' denominators so far, so the numerators stay integers and no sum
-    needs a gcd."""
-    num, den = 0, 1
-    for n, d in terms:
-        if den % d:
-            lcm = math.lcm(den, d)
-            num, den = num * (lcm // den), lcm
-        num += n * (den // d)
-        yield num, den
-
-
 def _exact_series(rates, measures, total) -> tuple[list, list, list]:
     """Partial sums of the inv_b, tail and hamburger series on int/Fraction
     data, each the exact sum rounded once.  The tail series is empty
@@ -272,8 +260,8 @@ def classify(chain: BdChain, horizon: int,
     certified verdicts into the Feller / l1-harmonic / self-adjointness
     booleans.
 
-    ``certificates`` overrides the chain's defaults per key ("measure",
-    "inv_b", "tail", "hamburger"); any other key is rejected.  The measure
+    ``certificates`` overrides the chain's defaults per key (one of
+    ``CERTIFICATE_KEYS``); any other key is rejected.  The measure
     certificate may also be the string "finite" or "infinite", which stands
     for a bare convergent or divergent assertion about sum m(r); the report
     carries it as a SeriesCertificate.  A divergent one contradicts a
@@ -291,7 +279,7 @@ def classify(chain: BdChain, horizon: int,
         raise InputError("horizon must be >= 1")
     certs = {**chain.certificates, **(certificates or {})}
     for key in certs:
-        if key not in ("measure", "inv_b", "tail", "hamburger"):
+        if key not in CERTIFICATE_KEYS:
             raise InputError(f"unknown certificate key {key!r}")
     mcert = certs.get("measure")
     if mcert in ("finite", "infinite"):

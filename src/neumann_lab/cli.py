@@ -112,7 +112,7 @@ def parse_certificates(text: str | None) -> dict:
             if value not in ("finite", "infinite"):
                 raise InputError("measure certificate must be finite or infinite")
             value = "convergent" if value == "finite" else "divergent"
-        elif key not in ("inv_b", "tail", "hamburger"):
+        elif key not in birth_death.CERTIFICATE_KEYS:
             raise InputError(f"unknown certificate key {key!r}")
         if value == "divergent":
             out[key] = birth_death.divergent(note)

@@ -10,7 +10,8 @@ after one gate (``_neumann_gate``): its l2 distance to the previous iterate
 must fall below tolerance.  Every distance is measured on one layout
 (``_layout``): the iterates' largest set, of which each iterate is a
 prefix, then any reference vertex outside it, as zero-padded float64 arrays
-(``_distances``).
+(``_distances``).  Every l1(m) quantity (distance, increment, bound,
+defect) is summed by ``_l1``, one correctly rounded ``fsum``.
 """
 
 from __future__ import annotations
@@ -79,17 +80,22 @@ def _layout(g: WeightedGraph, top: Sequence[int], ref_items):
     return index, ref, np.array([_float_guard(g.measure(x), "measure") for x in index])
 
 
+def _l1(vec, mass: np.ndarray) -> float:
+    """The l1(m) norm sum |vec| m by ``fsum``: correctly rounded, in any order."""
+    return math.fsum((np.abs(vec) * mass).tolist())
+
+
 def _distances(vectors, ref: np.ndarray, mass: np.ndarray, probe: int | None):
     """The l1(m), l2(m) and pointwise distance lists of each vector, a
     prefix of the layout extended by zero, to ``ref`` (``probe``: a position,
-    or None off the layout).  l1 sums |d| m correctly rounded, in any order;
-    l2 scales d by max |d| before squaring, as BLAS nrm2 does, so a
-    difference whose square underflows still counts."""
+    or None off the layout).  l1 is ``_l1``; l2 scales d by max |d| before
+    squaring, as BLAS nrm2 does, so a difference whose square underflows
+    still counts."""
     l1s, l2s, points = [], [], []
     for vec in vectors:
         d = np.abs(ref - np.pad(vec, (0, len(ref) - len(vec))))
         scale = float(d.max(initial=0.0))
-        l1s.append(math.fsum(d * mass))
+        l1s.append(_l1(d, mass))
         l2s.append(scale * math.sqrt(math.fsum((d / scale) ** 2 * mass)) if scale else 0.0)
         points.append(0.0 if probe is None else float(d[probe]))
     return l1s, l2s, points
@@ -237,9 +243,8 @@ def _monotone_limit(exhaustion: Exhaustion, tol: float, f: VertexFunction, actio
                 raise NeumannLabError(
                     f"{what}: truncation monotonicity violated at vertex {op.vertices[i]}: "
                     f"{prev[i].item()!r} -> {current[i].item()!r}")
-            step = current - np.pad(prev, (0, len(current) - len(prev)))
-            # summed left to right in the vertex order
-            increment = sum((np.abs(step) * op.measure_vector).tolist())
+            increment = _l1(current - np.pad(prev, (0, len(current) - len(prev))),
+                            op.measure_vector)
             increments.append(increment)
             if increment < tol:
                 return op.vertex_function(current), {
@@ -318,7 +323,8 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
         pairing = None
         if alpha is not None:
             u = engine.resolvent_vec(alpha, vec)
-            pairing = float((u * vec * op.measure_vector).sum())
+            # a signed phi gives signed terms, so this is no l1 norm
+            pairing = math.fsum((u * vec * op.measure_vector).tolist())
         return heat, pairing, engine.telemetry.clamped_entries
 
     results = _ordered_map(lambda k: one(exhaustion, k), range(len(iterate_sets)))
@@ -442,13 +448,13 @@ def l1_defect_experiment(g: WeightedGraph, exhaustion: Exhaustion, t: float,
         d_op, d_engine, vec = _truncation(exhaustion, k, phi, OperatorKind.DIRICHLET)
         _, engine, _ = _truncation(exhaustion, k, phi)
         d_heat, heat = heat_vecs([d_engine, engine], t, vec)
-        d_l1 = float((np.abs(d_heat) * d_op.measure_vector).sum())
+        d_l1 = _l1(d_heat, d_op.measure_vector)
         clamped = d_engine.telemetry.clamped_entries + engine.telemetry.clamped_entries
         return heat, 2.0 * (phi_l1 - d_l1), clamped
 
     results = _ordered_map(one, range(len(exhaustion)))
     index, ref_vec, mass = _layout(g, exhaustion.sets[-1], ref.values.items())
-    defect = phi_l1 - math.fsum(np.abs(ref_vec) * mass)
+    defect = phi_l1 - _l1(ref_vec, mass)
     l1s, l2s, points = _distances([h for h, _, _ in results], ref_vec, mass, index.get(probe))
     bounds = [bound for _, bound, _ in results]
     clamps = ref_info["clamped_entries"] + sum(c for _, _, c in results)

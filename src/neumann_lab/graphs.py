@@ -207,7 +207,8 @@ class VertexFunction:
     """Finitely supported function on vertices.
 
     ``values`` omits zeros; evaluation outside the stored support returns 0.
-    Norms are measure-weighted: ``norm(g, p)**p == sum |f|^p m`` and
+    Norms are measure-weighted: ``norm(g, p)**p == sum |f|^p m``, summed
+    by ``math.fsum`` in float (correctly rounded, in any vertex order), and
     ``norm(g, inf) == sup |f|``.
     """
 
@@ -221,10 +222,8 @@ class VertexFunction:
             return max((abs(float(v)) for v in self.values.values()), default=0.0)
         if p <= 0:
             raise InputError(f"invalid norm order {p}")
-        total = 0.0
-        for x, v in self.values.items():
-            total += abs(float(v)) ** p * float(graph.measure(x))
-        return total ** (1.0 / p)
+        return math.fsum(abs(float(v)) ** p * float(graph.measure(x))
+                         for x, v in self.values.items()) ** (1.0 / p)
 
     @staticmethod
     def indicator(x: int) -> "VertexFunction":

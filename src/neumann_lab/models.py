@@ -199,17 +199,14 @@ def make_bd_chain(rate, measure, name: str = "bd", *, measure_total=None,
     """Birth-death chain model; rate/measure as expressions or callables.
 
     The chain graph and the analytic view share the same sequences.
-    Positivity is validated on a prefix and enforced lazily afterwards.
+    Positive finite data are checked on a prefix and lazily afterwards.
     """
     rate_fn = parse_sequence_expr(rate) if isinstance(rate, str) else rate
     measure_fn = parse_sequence_expr(measure) if isinstance(measure, str) else measure
-    for r in range(64):
-        if rate_fn(r) <= 0:
-            raise InputError(f"rate expression nonpositive at r={r}")
-        if measure_fn(r) <= 0:
-            raise InputError(f"measure expression nonpositive at r={r}")
     chain = BdChain(rate=rate_fn, measure=measure_fn, name=name,
                     measure_total=measure_total, certificates=certificates or {})
+    for r in range(64):
+        chain.rate_at(r), chain.measure_at(r)
 
     def neighbors(v: int) -> dict:
         out = {v + 1: chain.rate_at(v)}

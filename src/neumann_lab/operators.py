@@ -14,6 +14,7 @@ excess (killing mass)/m and the diagonal.  One rounding helper,
 ratio, rounded by one correctly rounded division, and a ratio beyond the
 float cap is refused, so an operator beyond the cap fails at assembly;
 :func:`fits` tells ahead of assembly whether a vertex stays below it.
+Every exact sum of integer ratios is one :func:`_running_sums`.
 Every restriction is read off the row store of an :class:`Exhaustion`
 (:func:`restrict`), which converts an interior row once for both kinds and
 every larger set and a boundary row per set; :func:`assemble_dirichlet` and
@@ -76,6 +77,20 @@ def _float_guard(num, what: str, den=1):
         raise OverflowCapError(f"{what} ~ 2^{bits} exceeds the float cap "
                                f"2^{FLOAT_EXP_CAP}; use a smaller truncation")
     return n / d
+
+
+def _running_sums(terms):
+    """Yield the exact partial sums of integer-ratio terms (n, d), d > 0, as
+    pairs (numerator, denominator).  The denominator is the lcm of the
+    terms' denominators so far, so the numerators stay integers and no sum
+    needs a gcd."""
+    num, den = 0, 1
+    for n, d in terms:
+        if den % d:
+            lcm = math.lcm(den, d)
+            num, den = num * (lcm // den), lcm
+        num += n * (den // d)
+        yield num, den
 
 
 def fits(g: WeightedGraph, x: int) -> bool:

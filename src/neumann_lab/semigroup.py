@@ -29,7 +29,7 @@ import numpy as np
 from . import _elim
 from .errors import InputError
 from .graphs import VertexFunction
-from .operators import RestrictedOperator
+from .operators import RestrictedOperator, _running_sums
 
 __all__ = [
     "SemigroupEngine",
@@ -115,12 +115,7 @@ class SemigroupEngine:
             for j, b in row.items():
                 bn, bd = b.as_integer_ratio()
                 terms.append((bn * (ui - U[j]), bd))
-            num, den = 0, 1  # den grows to the lcm of the denominators
-            for n, d in terms:
-                if den % d:
-                    lcm = math.lcm(den, d)
-                    num, den = num * (lcm // den), lcm
-                num += n * (den // d)
+            *_, (num, den) = _running_sums(terms)
             if num:
                 rows.append((num * num * md, den * den * mn))
         # s_i^2/m_i = S^2 md / (D^2 mn q^2); over 2^(2e) the largest is in (1/2, 4)

@@ -11,8 +11,8 @@ OUT_DIR/exit_codes.json, printing each code.  Then
     python tests/report_configs.py --compare OLD_DIR NEW_DIR
 
 prints every exit-code change, every changed non-float value and every
-changed float with its path and relative change (``timestamp`` is
-ignored), and exits 1 on any exit-code or non-float difference.
+changed float with its path, relative and absolute change (``timestamp``
+is ignored), and exits 1 on any exit-code or non-float difference.
 ``test_cli.py`` runs the same list and pins the exit codes.
 """
 
@@ -160,7 +160,8 @@ def compare(old_dir, new_dir) -> int:
         for where, a, b, is_float in _differences(old, new, name):
             if is_float:
                 rel = abs(b - a) / abs(a) if a else float("inf")
-                print(f"float {where}: {a!r} -> {b!r} (relative {rel:.1e})")
+                print(f"float {where}: {a!r} -> {b!r} "
+                      f"(relative {rel:.1e}, absolute {abs(b - a):.1e})")
             else:
                 print(f"value {where}: {a!r} -> {b!r}")
                 hard = True

@@ -158,6 +158,19 @@ class TestClassify:
                 assert c.ess_self_adjoint is True
                 assert c.hamburger.verdict == "divergent"
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_rates_are_rejected(self, value):
+        bad = re.escape(f"rate b(70,71) = {value} must be positive and finite")
+        chain = BdChain(rate=lambda r: value if r == 70 else 1.0, measure=lambda r: 1.0)
+        with pytest.raises(InputError, match=bad):
+            classify(chain, 100, {"measure": "infinite"})
+        # the chain graph reads the rate when it builds the set past r = 70
+        model = models.make_bd_chain(chain.rate, chain.measure)
+        with pytest.raises(InputError, match=bad):
+            models.make_exhaustion(model, 0, indices=[60, 80])
+        with pytest.raises(InputError, match=re.escape(f"m(3) = {value} must be positive")):
+            models.make_bd_chain("1", lambda r: value if r == 3 else 1.0)
+
 
 def _rounded(value):
     """float(value), or None beyond float range."""
@@ -366,7 +379,9 @@ class TestAlphaHarmonic:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_nonfinite_chain_data_is_input_error(self, value):
         chain = BdChain(rate=lambda r: value if r == 3 else 1.0, measure=lambda r: 1.0)
-        with pytest.raises(InputError, match=f"cannot lift {value} of type float"):
+        # the chain rejects the value before the solver would lift it
+        bad = re.escape(f"b(3,4) = {value} must be positive and finite")
+        with pytest.raises(InputError, match=bad):
             solve_alpha_harmonic(chain, 1.0, 1.0, 10)
 
     @pytest.mark.parametrize("name,horizon",

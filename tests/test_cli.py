@@ -634,7 +634,8 @@ def test_compare_lists_every_changed_value(tmp_path, capsys):
     (new / "unit-l1.json").write_text(json.dumps(payload))
     assert report_configs.compare(old, new) == 0
     assert capsys.readouterr().out == (
-        f"float unit-l1.json.l1_distance[0]: {first!r} -> {first * 2!r} (relative 1.0e+00)\n")
+        f"float unit-l1.json.l1_distance[0]: {first!r} -> {first * 2!r} "
+        f"(relative 1.0e+00, absolute {first:.1e})\n")
 
     payload["metadata"]["graph"] = "bd:other"
     (new / "unit-l1.json").write_text(json.dumps(payload))

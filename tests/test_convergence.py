@@ -124,8 +124,8 @@ def test_monotonicity_error_prints_plain_floats():
 @pytest.mark.parametrize("preset,indices", [("comb", [2, 3, 4, 5]),
                                             ("bd:explosive", [10, 30, 60, 100])])
 def test_increments_are_the_vertexwise_sums(preset, indices):
-    # each increment sums |new - old| m(x) over the larger set in its vertex
-    # order, the previous vector extended by zero and m(x) a float
+    # each increment is the exactly rounded sum of |new - old| m(x) over the
+    # larger set, the previous vector extended by zero and m(x) a float
     model = models.PRESETS[preset]()
     ex = models.make_exhaustion(model, 0, indices=indices)
     phi = VertexFunction.indicator(model.origin)
@@ -137,12 +137,22 @@ def test_increments_are_the_vertexwise_sums(preset, indices):
         heat = SemigroupEngine(op).heat_vec(1.0, op.local_vector(phi))
         current = {x: float(v) for x, v in zip(op.vertices, heat)}
         if prev is not None:
-            total = 0.0
-            for x, v in current.items():
-                total += abs(v - prev.get(x, 0.0)) * float(model.graph.measure(x))
-            expected.append(total)
+            terms = [abs(v - prev.get(x, 0.0)) * float(model.graph.measure(x))
+                     for x, v in current.items()]
+            expected.append(float(sum(map(Fraction, terms))))
         prev = current
     assert err.value.increments == expected
+
+
+def test_increment_keeps_terms_below_an_ulp_of_the_largest():
+    # summed left to right, each 1e-16 is lost against 1.0
+    g = path_graph(11)
+    ex = Exhaustion.build(g, [[0], list(range(11))])
+    steps = iter([np.zeros(1), np.array([1.0] + [1e-16] * 10)])
+    with pytest.raises(TruncationInsufficientError) as err:
+        _monotone_limit(ex, 1e-8, VertexFunction.indicator(0),
+                        lambda engine, vec: next(steps), "probe")
+    assert err.value.increments == [1.000000000000001]
 
 
 class TestNeumannConvergence:
