@@ -21,7 +21,6 @@ from .convergence import (
     DEFAULT_REFERENCE_TOL,
     GAP_FLOOR_ABSOLUTE,
     _check_exhaustions,
-    _check_tol,
     _l1,
     _layout,
     _neumann_gate,
@@ -29,7 +28,7 @@ from .convergence import (
     dirichlet_reference,
     dirichlet_resolvent_reference,
 )
-from .errors import InputError, NeumannLabError
+from .errors import InputError, NeumannLabError, checked
 from .graphs import (Exhaustion, VertexFunction, WeightedGraph, formal_laplacian,
                      hop_distances)
 from .operators import _float_guard, assemble_dirichlet, assemble_neumann
@@ -91,8 +90,8 @@ def feller_estimate(g: WeightedGraph, exhaustion: Exhaustion, alpha: float,
     self-consistency check against the previous one.
     """
     _check_exhaustions(g, exhaustion)
-    _check_tol("tol", tol)
-    _check_tol("self_tol", self_tol)
+    checked(tol, "tol")
+    checked(self_tol, "self_tol")
     if x not in exhaustion.sets[0]:
         raise InputError("source vertex must lie in the smallest exhaustion set")
     delta = VertexFunction.delta(g, x)
@@ -147,9 +146,8 @@ def semigroup_gap(g: WeightedGraph, exhaustion: Exhaustion, t: float, x: int,
     convergence data and the positivity clamps of both references.
     """
     _check_exhaustions(g, exhaustion)
-    if not 0 < t < math.inf:
-        raise InputError(f"t must be positive and finite, got {t}")
-    _check_tol("self_tol", self_tol)
+    checked(t, "t")
+    checked(self_tol, "self_tol")
     if len(exhaustion.sets) < 2:
         raise InputError("need at least two exhaustion sets")
     one_x = VertexFunction.indicator(x)
@@ -203,8 +201,7 @@ def uniform_l1_check(g: WeightedGraph, subset: Sequence[int], horizon: float,
     supported, together with its neighbors, inside the subset so that the
     restricted operator agrees with the formal Laplacian on the support.
     """
-    if not 0 <= horizon < math.inf:
-        raise InputError(f"horizon must be nonnegative and finite, got {horizon}")
+    checked(horizon, "horizon", positive=False)
     if grid < 1:
         raise InputError("grid must have at least one time")
     if kind not in ("dirichlet", "neumann"):

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NeumannLabError, TruncationInsufficientError
+from .errors import InputError, NeumannLabError, TruncationInsufficientError, checked
 from .graphs import VertexFunction
 from .operators import _running_sums, assemble_dirichlet
 from .semigroup import SemigroupEngine
@@ -61,6 +61,8 @@ CERTIFICATE_KEYS = ("measure", "inv_b", "tail", "hamburger")
 class BdChain:
     """Birth-death chain data: positive finite rate(r) = b(r, r+1) and m(r).
 
+    ``rate_at`` and ``measure_at`` read them through
+    :func:`~neumann_lab.errors.checked`, as int, Fraction or float values.
     ``measure_total`` is the total mass when finite and known; the
     classifier reads the tail masses m({r+1, r+2, ...}) off it, so without
     it the tail series has no partial sums.  ``certificates`` carries
@@ -74,16 +76,10 @@ class BdChain:
     certificates: dict = field(default_factory=dict)
 
     def rate_at(self, r: int):
-        value = self.rate(r)
-        if not 0 < value < math.inf:  # also rejects nan
-            raise InputError(f"rate b({r},{r + 1}) = {value} must be positive and finite")
-        return value
+        return checked(self.rate(r), f"rate b({r},{r + 1})")
 
     def measure_at(self, r: int):
-        value = self.measure(r)
-        if not 0 < value < math.inf:
-            raise InputError(f"measure m({r}) = {value} must be positive and finite")
-        return value
+        return checked(self.measure(r), f"measure m({r})")
 
 
 @dataclass(frozen=True)
@@ -239,8 +235,8 @@ def _exact_series(rates, measures, total) -> tuple[list, list, list]:
 
 
 def _inexact_series(rates, measures, total) -> tuple[list, list, list]:
-    """The same partial sums in the arithmetic of the data (floats, mpf),
-    each converted to a float."""
+    """The same partial sums on data with a float among them, in float
+    arithmetic."""
     inv_b = list(accumulate(Fraction(1) / b for b in rates))
     tail = []
     if total is not None:
@@ -379,12 +375,7 @@ _DECIMAL = decimal.Context(prec=17, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
 
 def _decimal(value) -> decimal.Decimal:
     """value rounded once to nearest in ``_DECIMAL``, from its exact ratio."""
-    try:
-        num, den = value.as_integer_ratio()
-    except (AttributeError, OverflowError, ValueError):
-        raise InputError(f"cannot lift {value!r} of type {type(value).__name__}: "
-                         "it has no finite as_integer_ratio()") from None
-    return _DECIMAL.divide(num, den)
+    return _DECIMAL.divide(*value.as_integer_ratio())
 
 
 def solve_alpha_harmonic(chain: BdChain, alpha, u0, horizon: int) -> HarmonicSolution:
@@ -394,20 +385,20 @@ def solve_alpha_harmonic(chain: BdChain, alpha, u0, horizon: int) -> HarmonicSol
     values: b(r,r+1) s(r) = b(r-1,r) s(r-1) + alpha m(r) u(r), which is alpha
     times the l1 partial sum to r.  Every operation adds, multiplies or
     divides positive numbers, so a value carries at most about 3r roundings;
-    for u0 > 0 every step is positive (asserted).  Rational inputs are solved
-    exactly.  Any other input is rounded once into a 17-digit ``decimal``
-    context with an unbounded exponent, so values, ratios and boundedness
-    verdicts survive where floats would overflow or underflow; an input
-    without ``as_integer_ratio`` raises InputError.  Returns partial l1 sums
-    together with the running lower bounds alpha*u(0)*m(0) *
-    sum_{k<r} (truncated tail)/b(k,k+1) that they must dominate.
+    for u0 > 0 every step is positive (asserted).  ``alpha`` > 0, ``u0`` >= 0
+    and the chain data pass :func:`~neumann_lab.errors.checked`: each is an
+    int, Fraction or finite float.  Rational inputs are solved exactly.
+    With a float among them, every input is rounded once into a 17-digit
+    ``decimal`` context with an unbounded exponent, so values, ratios and
+    boundedness verdicts survive where floats would overflow or underflow.
+    Returns partial l1 sums together with the running lower bounds
+    alpha*u(0)*m(0) * sum_{k<r} (truncated tail)/b(k,k+1) that they must
+    dominate.
     """
     if horizon < 2:
         raise InputError("horizon must be >= 2")
-    if not 0 < alpha < math.inf:
-        raise InputError(f"alpha must be positive and finite, got {alpha}")
-    if not 0 <= u0 < math.inf:
-        raise InputError(f"u0 must be nonnegative and finite, got {u0}")
+    checked(alpha, "alpha")
+    checked(u0, "u0", positive=False)
 
     rates = [chain.rate_at(r) for r in range(horizon + 1)]
     measures = [chain.measure_at(r) for r in range(horizon + 1)]

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, NeumannLabError, TruncationInsufficientError
+from .errors import InputError, NeumannLabError, TruncationInsufficientError, checked
 from .graphs import Exhaustion, VertexFunction, WeightedGraph
 # the assemble_* names are not called here; the benchmark's tracer patches them
 from .operators import OperatorKind, _float_guard, assemble_dirichlet, assemble_neumann, restrict
@@ -96,7 +96,8 @@ def _distances(vectors, ref: np.ndarray, mass: np.ndarray, probe: int | None):
         d = np.abs(ref - np.pad(vec, (0, len(ref) - len(vec))))
         scale = float(d.max(initial=0.0))
         l1s.append(_l1(d, mass))
-        l2s.append(scale * math.sqrt(math.fsum((d / scale) ** 2 * mass)) if scale else 0.0)
+        l2s.append(scale * math.sqrt(math.fsum(((d / scale) ** 2 * mass).tolist()))
+                   if scale else 0.0)
         points.append(0.0 if probe is None else float(d[probe]))
     return l1s, l2s, points
 
@@ -130,12 +131,6 @@ def _loglog_slope(sizes, distances) -> float | None:
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
             / sum((x - mx) ** 2 for x in xs))
-
-
-def _check_tol(name: str, value: float):
-    """Reject a stopping tolerance that is not a finite number > 0."""
-    if not 0 < value < math.inf:
-        raise InputError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_exhaustions(g: WeightedGraph, exhaustion: Exhaustion,
@@ -228,7 +223,7 @@ def _monotone_limit(exhaustion: Exhaustion, tol: float, f: VertexFunction, actio
     with every increment when the exhaustion ends first.  A single set gives
     no increment at all, so it is rejected before any solve.
     """
-    _check_tol("tol", tol)
+    checked(tol, "tol")
     if len(exhaustion.sets) < 2:
         raise InputError(f"{what} needs at least two exhaustion sets")
     prev, increments, clamps = None, [], 0
@@ -265,8 +260,7 @@ def dirichlet_reference(g: WeightedGraph, exhaustion: Exhaustion, t: float,
     (VertexFunction, info dict).
     """
     _check_exhaustions(g, exhaustion)
-    if not 0 <= t < math.inf:
-        raise InputError(f"t must be nonnegative and finite, got {t}")
+    checked(t, "t", positive=False)
     if any(float(v) < 0 for v in phi.values.values()):
         raise InputError("phi must be nonnegative")
     return _monotone_limit(exhaustion, tol, phi,
@@ -279,8 +273,7 @@ def dirichlet_resolvent_reference(g: WeightedGraph, exhaustion: Exhaustion,
                                   tol: float = DEFAULT_REFERENCE_TOL):
     """Monotone-limit proxy for the full-space Dirichlet resolvent."""
     _check_exhaustions(g, exhaustion)
-    if not 0 < alpha < math.inf:
-        raise InputError(f"alpha must be positive and finite, got {alpha}")
+    checked(alpha, "alpha")
     if any(float(v) < 0 for v in f.values.values()):
         raise InputError("f must be nonnegative")
     return _monotone_limit(exhaustion, tol, f,
@@ -306,7 +299,7 @@ def neumann_convergence_experiment(g: WeightedGraph, exhaustion: Exhaustion,
     monotonicity on the Neumann side).  When ``alpha`` is given, the
     resolvent pairings <R_alpha phi, phi>_m are recorded per truncation.
     """
-    _check_tol("self_tol", self_tol)
+    checked(self_tol, "self_tol")
     _check_exhaustions(g, exhaustion, ref_exhaustion)
     if reference is not None and ref_exhaustion is not None:
         raise InputError("give an explicit reference or a reference exhaustion, not both")

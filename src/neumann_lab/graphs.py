@@ -10,10 +10,12 @@ construction and writes each undirected edge into both endpoints' rows, so
 the symmetry b(x,y) = b(y,x) holds by construction.  An infinite graph is
 described by neighbour/measure/killing callbacks and is only ever
 materialized through an :class:`Exhaustion`; it fills the store from its
-callbacks on a vertex's first use, with the same checks (m > 0, c >= 0), so
-every truncation reads the stored values without re-evaluating the
-callbacks.  A vertex's degree is the sum of its row.  An :class:`Exhaustion`
-is checked once, when built, and keeps the row store its restrictions read.
+callbacks on a vertex's first use, so every truncation reads the stored
+values without re-evaluating the callbacks.  Both kinds check every value
+once, where it enters, by :func:`~neumann_lab.errors.checked`: a finite
+m > 0, b >= 0 (0 means no edge) and c >= 0.  A vertex's degree is the sum
+of its row.  An :class:`Exhaustion` is checked once, when built, and keeps
+the row store its restrictions read.
 
 Weights may be ``int``, :class:`~fractions.Fraction`, or ``float``.  Exact
 rational weights survive untouched until operator assembly, which matters for
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, checked
 
 __all__ = [
     "WeightedGraph",
@@ -43,25 +45,6 @@ __all__ = [
     "parse_graph_file",
     "write_graph_file",
 ]
-
-
-def _as_number(x):
-    """Accept int/Fraction/float weights, reject everything else."""
-    if isinstance(x, (int, Fraction, float)):
-        return x
-    raise InputError(f"unsupported numeric type {type(x).__name__}")
-
-
-def _checked_measure(x: int, m):
-    if not m > 0:  # also rejects nan
-        raise InputError(f"nonpositive measure m({x}) = {m}")
-    return m
-
-
-def _checked_killing(x: int, c):
-    if c < 0:
-        raise InputError(f"negative killing c({x}) = {c}")
-    return c
 
 
 class WeightedGraph:
@@ -92,26 +75,25 @@ class WeightedGraph:
                   name: str = "") -> "WeightedGraph":
         """Build a finite graph from one-entry-per-edge data.
 
-        ``edges`` maps unordered pairs to positive weights; supplying the
-        same pair twice (in either orientation) is rejected, as are loops,
-        nonpositive measures and negative weights.  Each edge is stored in
-        both endpoints' rows, so b(x,y) = b(y,x) holds by construction.
+        ``edges`` maps unordered pairs to weights, a zero weight meaning no
+        edge; supplying the same pair twice (in either orientation) is
+        rejected, as are loops.  Every weight, measure and killing passes
+        :func:`~neumann_lab.errors.checked`: finite, m > 0, b >= 0, c >= 0.
+        Each edge is stored in both endpoints' rows, so b(x,y) = b(y,x) holds
+        by construction.
         """
         killing = dict(killing or {})
         canon: dict[tuple[int, int], object] = {}
         for (x, y), b in edges.items():
             if x == y:
                 raise InputError(f"loop edge at vertex {x}")
-            b = _as_number(b)
-            if b < 0:
-                raise InputError(f"negative edge weight b({x},{y}) = {b}")
-            if b == 0:
+            if checked(b, f"edge weight b({x},{y})", positive=False) == 0:
                 continue
             key = (x, y) if x < y else (y, x)
             if key in canon:
                 raise InputError(f"duplicate edge {key}")
             canon[key] = b
-        m = {x: _checked_measure(x, _as_number(mx)) for x, mx in measure.items()}
+        m = {x: checked(mx, f"measure m({x})") for x, mx in measure.items()}
         rows: dict[int, dict[int, object]] = {x: {} for x in m}
         for (x, y), b in canon.items():
             if x not in m or y not in m:
@@ -119,7 +101,7 @@ class WeightedGraph:
             rows[x][y] = b
             rows[y][x] = b
         for x, cx in killing.items():
-            _checked_killing(x, _as_number(cx))
+            checked(cx, f"killing c({x})", positive=False)
             if x not in m:
                 raise InputError(f"killing on unknown vertex {x}")
         return cls(_rows=rows, _measures=m, _killings=killing, name=name)
@@ -136,9 +118,11 @@ class WeightedGraph:
 
         The callbacks must be pure functions of the vertex: the neighbor
         row (positive weights only), the measure and the killing of each
-        vertex are stored on first use, after the same checks
-        :meth:`from_data` makes (m > 0, c >= 0).  A callback or check that
-        raises stores nothing.
+        vertex are stored on first use, after the checks :meth:`from_data`
+        makes.  A row is also checked against the rows stored before it: it
+        may not hold x itself, and its weight to y must equal the one y's
+        stored row holds for x (no callback is called for that).  A callback
+        or check that raises stores nothing.
         """
         return cls(_neighbor_fn=neighbor_fn, _measure_fn=measure_fn,
                    _killing_fn=killing_fn, name=name)
@@ -167,7 +151,17 @@ class WeightedGraph:
         if row is None:
             if self.is_finite:
                 return {}
-            row = self._rows[x] = {y: b for y, b in self._neighbor_fn(x).items() if b > 0}
+            row = {}
+            for y, b in self._neighbor_fn(x).items():
+                if checked(b, f"edge weight b({x},{y})", positive=False) == 0:
+                    continue
+                if y == x:
+                    raise InputError(f"loop edge at vertex {x}")
+                if y in self._rows and self._rows[y].get(x, 0) != b:
+                    raise InputError(f"asymmetric edge weight: b({x},{y}) = {b} "
+                                     f"but b({y},{x}) = {self._rows[y].get(x, 0)}")
+                row[y] = b
+            self._rows[x] = row
         return row
 
     def neighbors(self, x: int) -> dict[int, object]:
@@ -183,7 +177,7 @@ class WeightedGraph:
         if m is None:
             if self.is_finite:
                 raise InputError(f"unknown vertex {x}")
-            m = self._measures[x] = _checked_measure(x, self._measure_fn(x))
+            m = self._measures[x] = checked(self._measure_fn(x), f"measure m({x})")
         return m
 
     def killing(self, x: int):
@@ -191,7 +185,8 @@ class WeightedGraph:
         if c is None:
             if self._killing_fn is None:
                 return 0
-            c = self._killings[x] = _checked_killing(x, self._killing_fn(x))
+            c = self._killings[x] = checked(self._killing_fn(x), f"killing c({x})",
+                                            positive=False)
         return c
 
     def row_sum(self, x: int):
@@ -218,10 +213,10 @@ class VertexFunction:
         return self.values.get(x, 0)
 
     def norm(self, graph: WeightedGraph, p: float = 2) -> float:
-        if p == math.inf:
-            return max((abs(float(v)) for v in self.values.values()), default=0.0)
-        if p <= 0:
+        if not p > 0:
             raise InputError(f"invalid norm order {p}")
+        if math.isinf(p):
+            return max((abs(float(v)) for v in self.values.values()), default=0.0)
         return math.fsum(abs(float(v)) ** p * float(graph.measure(x))
                          for x, v in self.values.items()) ** (1.0 / p)
 
@@ -377,25 +372,24 @@ def is_connected(g: WeightedGraph, subset: Iterable[int]) -> bool:
 #   E <id1> <id2> <b>
 #
 # Values are parsed as Fractions when they contain '/' or are integers,
-# as floats otherwise; nan, inf and floats that overflow are rejected.
+# as floats otherwise, and checked line by line as from_data checks them.
 
 
 def _parse_value(tok: str):
     if "/" in tok:
-        return Fraction(tok)
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise InputError(f"value {tok!r} divides by zero") from None
     try:
         return int(tok)
     except ValueError:
-        value = float(tok)
-    if not math.isfinite(value):
-        shown = tok if len(tok) <= 24 else tok[:20] + "..."
-        raise InputError(f"value {shown!r} is not a finite number")
-    return value
+        return float(tok)
 
 
 def parse_graph_file(text: str, name: str = "file") -> WeightedGraph:
-    """Parse the line-oriented graph format; duplicate edges, nonpositive m,
-    negative b or c and non-finite values are rejected."""
+    """Parse the line-oriented graph format; duplicate edges and any value
+    :meth:`WeightedGraph.from_data` rejects are rejected with their line."""
     measure: dict[int, object] = {}
     killing: dict[int, object] = {}
     edges: dict[tuple[int, int], object] = {}
@@ -411,29 +405,22 @@ def parse_graph_file(text: str, name: str = "file") -> WeightedGraph:
                 x = int(parts[1])
                 if x in measure:
                     raise InputError(f"duplicate vertex {x}")
-                m = _parse_value(parts[2])
-                c = _parse_value(parts[3])
-                if m <= 0:
-                    raise InputError(f"nonpositive measure at vertex {x}")
-                if c < 0:
-                    raise InputError(f"negative killing at vertex {x}")
-                measure[x] = m
+                measure[x] = checked(_parse_value(parts[2]), f"measure m({x})")
+                c = checked(_parse_value(parts[3]), f"killing c({x})", positive=False)
                 if c != 0:
                     killing[x] = c
             elif parts[0] == "E":
                 if len(parts) != 4:
                     raise InputError("E line needs: E <id1> <id2> <b>")
                 x, y = int(parts[1]), int(parts[2])
-                b = _parse_value(parts[3])
-                if b < 0:
-                    raise InputError(f"negative edge weight ({x},{y})")
+                b = checked(_parse_value(parts[3]), f"edge weight b({x},{y})", positive=False)
                 key = (x, y) if x < y else (y, x)
                 if key in edges:
                     raise InputError(f"duplicate edge {key}")
                 edges[key] = b
             else:
                 raise InputError(f"unknown record {parts[0]!r}")
-        except (ValueError, ZeroDivisionError) as ex:
+        except ValueError as ex:
             raise InputError(f"line {lineno}: {ex}") from ex
         except InputError as ex:
             raise InputError(f"line {lineno}: {ex}") from None

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _elim
-from .errors import InputError
+from .errors import InputError, checked
 from .graphs import VertexFunction
 from .operators import RestrictedOperator, _running_sums
 
@@ -83,8 +83,7 @@ class SemigroupEngine:
 
     def resolvent_vec(self, alpha: float, vec: np.ndarray) -> np.ndarray:
         """(L + alpha)^{-1} vec via subtraction-free elimination."""
-        if not 0 < alpha < math.inf:
-            raise InputError(f"resolvent parameter must be positive and finite, got {alpha}")
+        checked(alpha, "resolvent parameter")
         op = self.operator
         fac = _elim.gth_factor(op.offdiag, op.excess + alpha)
         return fac.solve(np.asarray(vec, dtype=float))
@@ -133,8 +132,7 @@ def heat_vecs(engines: list[SemigroupEngine], t: float, vec: np.ndarray) -> list
     the engine's own ``heat_vec`` bit for bit, and its tiny negatives are
     clamped to 0 (when vec >= 0) and counted in that engine's telemetry.
     """
-    if not 0 <= t < math.inf:
-        raise InputError(f"time t must be nonnegative and finite, got {t}")
+    checked(t, "time t", positive=False)
     vec = np.asarray(vec, dtype=float)
     offdiag = engines[0].operator.offdiag
     if any(e.operator.offdiag != offdiag for e in engines[1:]):

@@ -160,7 +160,7 @@ class TestClassify:
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_nonfinite_rates_are_rejected(self, value):
-        bad = re.escape(f"rate b(70,71) = {value} must be positive and finite")
+        bad = re.escape(f"rate b(70,71) must be positive and finite, got {value}")
         chain = BdChain(rate=lambda r: value if r == 70 else 1.0, measure=lambda r: 1.0)
         with pytest.raises(InputError, match=bad):
             classify(chain, 100, {"measure": "infinite"})
@@ -168,7 +168,8 @@ class TestClassify:
         model = models.make_bd_chain(chain.rate, chain.measure)
         with pytest.raises(InputError, match=bad):
             models.make_exhaustion(model, 0, indices=[60, 80])
-        with pytest.raises(InputError, match=re.escape(f"m(3) = {value} must be positive")):
+        with pytest.raises(InputError,
+                           match=re.escape(f"measure m(3) must be positive and finite, got {value}")):
             models.make_bd_chain("1", lambda r: value if r == 3 else 1.0)
 
 
@@ -372,7 +373,7 @@ class TestAlphaHarmonic:
         for r in range(21):
             want = float(exact.values(r))
             assert abs(float(lifted.values(r)) - want) <= 1e-15 * want
-        # an mpf has no as_integer_ratio to round it from
+        # an mpf is no int, Fraction or float
         with pytest.raises(InputError, match="of type mpf"):
             solve_alpha_harmonic(chain, mpmath.mpf("0.5"), mpmath.mpf(3), 20)
 
@@ -380,7 +381,7 @@ class TestAlphaHarmonic:
     def test_nonfinite_chain_data_is_input_error(self, value):
         chain = BdChain(rate=lambda r: value if r == 3 else 1.0, measure=lambda r: 1.0)
         # the chain rejects the value before the solver would lift it
-        bad = re.escape(f"b(3,4) = {value} must be positive and finite")
+        bad = re.escape(f"rate b(3,4) must be positive and finite, got {value}")
         with pytest.raises(InputError, match=bad):
             solve_alpha_harmonic(chain, 1.0, 1.0, 10)
 

@@ -78,6 +78,23 @@ def test_no_package_module_imports_mpmath():
     assert importers == set()
 
 
+def test_only_errors_states_the_input_rule():
+    """``errors.checked`` decides which numbers the package takes in: no
+    other module compares against math.inf or words that rule's message."""
+    stating = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            operands = ([node.left, *node.comparators] if isinstance(node, ast.Compare)
+                        else [])
+            if (any(isinstance(op, ast.Attribute) and op.attr == "inf"
+                    and isinstance(op.value, ast.Name) and op.value.id == "math"
+                    for op in operands)
+                    or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "and finite, got" in node.value):
+                stating.add(path.stem)
+    assert stating == {"errors"}
+
+
 def test_the_chain_solvers_run_without_mpmath():
     """With mpmath unimportable, every chain preset classifies and the
     alpha-harmonic recursion runs on float and on exact data."""

@@ -176,7 +176,8 @@ class TestExpressions:
             fn(2)
 
     def test_rejects_nonpositive_sequences(self):
-        with pytest.raises(InputError, match=re.escape("rate b(0,1) = 0 must be positive")):
+        with pytest.raises(InputError,
+                           match=re.escape("rate b(0,1) must be positive and finite, got 0")):
             models.make_bd_chain("r", "1")   # rate 0 at r=0
 
     def test_deep_sum_is_input_error(self):
